@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -310,7 +311,8 @@ def _run_cell(cell) -> tuple[int, int, int | None, RunRecord]:
 
 def _attach_ratios(groups: dict, records: list[tuple[tuple, RunRecord]]) -> None:
     """Fill optimal/ratio columns from the matching exact row in the same
-    (sweep value, instance) group."""
+    (sweep value, instance) group, if that row proved its optimum; a
+    timed-out incumbent is no reference."""
     for key, record in records:
         v_idx, i_idx, _ = key
         group = groups[(v_idx, i_idx)]
@@ -319,7 +321,7 @@ def _attach_ratios(groups: dict, records: list[tuple[tuple, RunRecord]]) -> None
             reference = group.get(("exact_sidegaps", None))
         elif record.algo.endswith("_kgaps"):
             reference = group.get(("exact_kgaps", record.k))
-        if reference is None or reference.crossings is None or record.crossings is None:
+        if reference is None or reference.status != "optimal" or record.crossings is None:
             continue
         record.optimal_crossings = reference.crossings
         if reference.crossings > 0:
@@ -360,8 +362,9 @@ def run_bench(
                 )
 
     work = [(v, i, p, s, time_budget_s) for v, i, p, s in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_cell, work))
     else:
         raw = [_run_cell(cell) for cell in work]

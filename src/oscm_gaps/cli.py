@@ -168,7 +168,7 @@ def oracle(instance, mode, k, out):
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--time-budget-s", type=float, default=300.0, show_default=True)
 @click.option(
     "--deterministic-times",

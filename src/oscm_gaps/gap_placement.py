@@ -5,6 +5,13 @@ neighbor's bottom position), under which no two dummy edges cross. The
 side-gap merge splits that order into a left and a right block around the
 real nodes; the k-gap merge places it into at most k blocks by a dynamic
 program over (gaps used, real prefix, dummy prefix).
+
+With s_i[j] the summed cost of the first j dummies at real boundary i,
+the block term min_{j'<=j}(dp[g-1][i][j'] + s_i[j] - s_i[j']) is a
+running prefix minimum of dp[g-1][i] - s_i, so the merge takes
+O(k·r·d) time for r real and d dummy nodes. The backtrack re-derives each
+step from the dp rows with a fixed tie rule: advancing to boundary i-1
+wins ties, else the smallest split j' reaching the minimum.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from .core import (
     BipartiteInstance,
@@ -85,117 +93,73 @@ def side_gap_merge(inst: BipartiteInstance, real_order: Permutation) -> Permutat
     return concatenate(dummies[:lo], real_order, dummies[lo:])
 
 
-@dataclass(frozen=True)
-class BlockCostTables:
-    """Prefix-summed placement costs for dummy blocks.
-
-    prefix[i][j] sums, over the first j dummies, the cost of sitting
-    after the first i real nodes and before the rest; the cost of block
-    (j'+1..j) at real boundary i is prefix[i][j] - prefix[i][j'].
-    """
-
-    prefix: tuple[tuple[int, ...], ...]
-
-
 def block_cost_tables(
     inst: BipartiteInstance, real_order: Permutation, dummy_order: Permutation
-) -> BlockCostTables:
+) -> list[list[int]]:
+    """Prefix-summed placement costs for dummy blocks, one row per real
+    boundary: rows[i][j] sums, over the first j dummies, the cost of
+    sitting after the first i real nodes and before the rest; the cost of
+    block (j'+1..j) at real boundary i is rows[i][j] - rows[i][j']."""
     pos1 = inst.pi1.position
     neigh = inst.neighbor_positions
     q = [
         -1 if inst.dummy_neighbor[d] is None else pos1[inst.dummy_neighbor[d]]
         for d in dummy_order.order
     ]
-    n_real, n_dummy = len(real_order), len(dummy_order)
 
-    # greater[s][t] / less[s][t]: edges of real s with bottom endpoint
-    # strictly right / left of dummy t's neighbor. Edge-less dummies
-    # (q < 0) cross nothing anywhere.
-    greater = []
-    less = []
+    # A dummy at boundary 0 crosses every real-incident edge left of its
+    # neighbor. Moving real node r from after the dummy to before it adds
+    # r's edges strictly right of the neighbor and drops those strictly
+    # left. Edge-less dummies (q < 0) cross nothing anywhere.
+    left = [0, *accumulate(inst.bottom_real_degree[b] for b in inst.pi1.order)]
+    cost = [0 if qt < 0 else left[qt] for qt in q]
+    rows = [list(accumulate(cost, initial=0))]
     for r in real_order.order:
         positions = neigh[r]
-        greater.append(
-            [0 if qt < 0 else len(positions) - bisect_right(positions, qt) for qt in q]
-        )
-        less.append([0 if qt < 0 else bisect_left(positions, qt) for qt in q])
-
-    rows = []
-    above = [0] * n_dummy  # crossings with the real prefix, per dummy
-    below = [0] * n_dummy  # crossings with the real suffix, per dummy
-    for t in range(n_dummy):
-        below[t] = sum(less[s][t] for s in range(n_real))
-    for i in range(n_real + 1):
-        if i:
-            for t in range(n_dummy):
-                above[t] += greater[i - 1][t]
-                below[t] -= less[i - 1][t]
-        rows.append(tuple(accumulate((above[t] + below[t] for t in range(n_dummy)), initial=0)))
-    return BlockCostTables(tuple(rows))
+        degree = len(positions)
+        cost = [
+            c if qt < 0 else c + degree - bisect_right(positions, qt) - bisect_left(positions, qt)
+            for c, qt in zip(cost, q)
+        ]
+        rows.append(list(accumulate(cost, initial=0)))
+    return rows
 
 
-_ADVANCE = -1  # backtrack tag: came from dp[g][i-1][j]
+def _rowwise_min(above: list[int], row: list[int]) -> list[int]:
+    return [a if a < b else b for a, b in zip(above, row)]
 
 
-@dataclass
-class MergeTable:
-    """DP table dp[g][i][j]: minimum crossings between real-incident and
-    dummy-incident edges when the first j dummies sit in at most g gaps
-    at real boundaries <= i. choice[g][i][j] is the backtrack tag:
-    _ADVANCE, or the split j' of the block placed at boundary i."""
+def merge_dp(costs: list[list[int]], k: int) -> list[list[list[int]]]:
+    """Merge DP over the `block_cost_tables` rows `costs`, one layer per
+    gap budget g = 1..k (layer g at index g - 1): dp[g][i][j] is the
+    minimum mixed crossing count when the first j dummies sit in at most
+    g gaps at real boundaries <= i.
 
-    dp: list[list[list[int]]]
-    choice: list[list[list[int | None]]]
-    real_order: Permutation
-    dummy_order: Permutation
-    costs: BlockCostTables
-    infinity: int
-
-
-def build_merge_table(
-    inst: BipartiteInstance, real_order: Permutation, k: int
-) -> MergeTable:
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    _check_real_order(inst, real_order)
-    dummy_order = canonical_dummy_order(inst).order
-    n_real, n_dummy = len(real_order), len(dummy_order)
-    k = min(k, max(n_dummy, 1))  # more gaps than dummies never help
-    costs = block_cost_tables(inst, real_order, dummy_order)
-    s = costs.prefix
-    inf = inst.m * inst.m + 1  # above any achievable crossing count
-
-    dp = [[[inf] * (n_dummy + 1) for _ in range(n_real + 1)] for _ in range(k + 1)]
-    choice: list[list[list[int | None]]] = [
-        [[None] * (n_dummy + 1) for _ in range(n_real + 1)] for _ in range(k + 1)
-    ]
-    for i in range(n_real + 1):
-        dp[0][i][0] = 0
-
-    for g in range(1, k + 1):
-        for i in range(n_real + 1):
-            prev_gap = dp[g - 1][i]
-            row = dp[g][i]
-            tags = choice[g][i]
-            s_i = s[i]
-            for j in range(n_dummy + 1):
-                best = inf
-                tag: int | None = None
-                if i and dp[g][i - 1][j] < best:
-                    best = dp[g][i - 1][j]
-                    tag = _ADVANCE
-                base = s_i[j]
-                for jp in range(j + 1):
-                    prev = prev_gap[jp]
-                    if prev >= inf:
-                        continue
-                    val = prev + base - s_i[jp]
-                    if val < best:
-                        best = val
-                        tag = jp
-                row[j] = best
-                tags[j] = tag
-    return MergeTable(dp, choice, real_order, dummy_order, costs, inf)
+    dp[g][i] = min(dp[g][i-1], prefmin_j(dp[g-1][i] - s_i) + s_i),
+    elementwise, with s_i = costs[i]: O(k·r·d) for r real and d dummy
+    nodes. With no gap only j = 0 is reachable, so the one-gap block
+    term is s_i itself.
+    """
+    dp = [list(accumulate(costs, _rowwise_min))]
+    for _ in range(1, k):
+        prev_layer = dp[-1]
+        # the split j' = j keeps every block term <= dp[g-1][i], so taking
+        # the minimum with dp[g-1][0] leaves row 0 exact
+        above = prev_layer[0]
+        layer = []
+        for prev_i, s_i in zip(prev_layer, costs):
+            run = 0  # prev_i[0] - s_i[0]
+            row = []
+            for p, c, a in zip(prev_i, s_i, above):
+                x = p - c
+                if x < run:
+                    run = x
+                x = run + c
+                row.append(a if a < x else x)
+            layer.append(row)
+            above = row
+        dp.append(layer)
+    return dp
 
 
 def k_gap_merge(
@@ -210,27 +174,28 @@ def k_gap_merge(
     if not inst.dummy_top_ids:
         return Permutation(real_order.order), 0
 
-    table = build_merge_table(inst, real_order, k)
-    dp, choice = table.dp, table.choice
-    n_real, n_dummy = len(table.real_order), len(table.dummy_order)
-    g, i, j = len(dp) - 1, n_real, n_dummy
-    mixed = dp[g][i][j]
+    dummy_order = canonical_dummy_order(inst).order
+    dummies = dummy_order.order
+    n_real, n_dummy = len(real_order), len(dummies)
+    costs = block_cost_tables(inst, real_order, dummy_order)
+    dp = merge_dp(costs, min(k, n_dummy))  # more gaps than dummies never help
+    g, i, j = len(dp), n_real, n_dummy
+    mixed = dp[-1][i][j]
 
+    # Re-derive each step from the dp rows: advancing to boundary i-1 wins
+    # ties, else the smallest split j' that reaches the minimum.
     boundary = [0] * n_dummy
-    while g > 0:
-        tag = choice[g][i][j]
-        if tag is None:  # base row reached early; remaining dummies are placed
-            break
-        if tag == _ADVANCE:
+    while j:
+        layer = dp[g - 1]
+        value = layer[i][j]
+        if i and layer[i - 1][j] == value:
             i -= 1
-        else:
-            for t in range(tag, j):
-                boundary[t] = i
-            j = tag
-            g -= 1
-    assert j == 0, "merge backtrack failed to place every dummy"
+            continue
+        s_i = costs[i]
+        split = list(map(sub, dp[g - 2][i], s_i)).index(value - s_i[j]) if g > 1 else 0
+        boundary[split:j] = [i] * (j - split)
+        g, j = g - 1, split
 
-    dummies = table.dummy_order.order
     merged: list[int] = []
     t = 0
     for b in range(n_real + 1):

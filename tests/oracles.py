@@ -7,7 +7,7 @@ library code paths it checks.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from oscm_gaps.core import BipartiteInstance, Permutation
 
@@ -157,3 +157,71 @@ def best_bounded_gap_merge(inst: BipartiteInstance, real_order: Permutation, dum
         if best_total is None or total < best_total:
             best_total = total
     return best_mixed, best_total
+
+
+def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: int):
+    """The O(k·r·d²) k-gap merge DP with its tagged backtrack, kept as the
+    reference for the library's prefix-minimum merge (r real, d dummy
+    nodes). Same tie rule: advancing to boundary i-1 wins ties, else the
+    smallest split j' reaching the minimum. Returns (permutation, mixed)."""
+    pos1 = inst.pi1.position
+    neighbor = inst.dummy_neighbor
+    q_of = {d: -1 if neighbor[d] is None else pos1[neighbor[d]] for d in inst.dummy_top_ids}
+    dummies = sorted(q_of, key=lambda d: (q_of[d], d))
+    reals = real_order.order
+    if not dummies:
+        return Permutation(reals), 0
+    n_real, n_dummy = len(reals), len(dummies)
+    q = [q_of[d] for d in dummies]
+
+    # s[i][j]: summed crossings of the first j dummies at real boundary i
+    neigh = inst.neighbor_positions
+    greater = [[0 if qt < 0 else sum(1 for p in neigh[r] if p > qt) for qt in q] for r in reals]
+    less = [[0 if qt < 0 else sum(1 for p in neigh[r] if p < qt) for qt in q] for r in reals]
+    s = []
+    for i in range(n_real + 1):
+        costs = [
+            sum(greater[x][t] for x in range(i)) + sum(less[x][t] for x in range(i, n_real))
+            for t in range(n_dummy)
+        ]
+        s.append([0, *accumulate(costs)])
+
+    advance = -1
+    k = min(k, n_dummy)
+    inf = inst.m * inst.m + 1
+    dp = [[[inf] * (n_dummy + 1) for _ in range(n_real + 1)] for _ in range(k + 1)]
+    choice = [[[None] * (n_dummy + 1) for _ in range(n_real + 1)] for _ in range(k + 1)]
+    for i in range(n_real + 1):
+        dp[0][i][0] = 0
+    for g in range(1, k + 1):
+        for i in range(n_real + 1):
+            for j in range(n_dummy + 1):
+                best, tag = inf, None
+                if i and dp[g][i - 1][j] < best:
+                    best, tag = dp[g][i - 1][j], advance
+                for jp in range(j + 1):
+                    prev = dp[g - 1][i][jp]
+                    if prev >= inf:
+                        continue
+                    val = prev + s[i][j] - s[i][jp]
+                    if val < best:
+                        best, tag = val, jp
+                dp[g][i][j], choice[g][i][j] = best, tag
+
+    g, i, j = k, n_real, n_dummy
+    boundary = [0] * n_dummy
+    while g > 0:
+        tag = choice[g][i][j]
+        if tag == advance:
+            i -= 1
+        else:
+            for t in range(tag, j):
+                boundary[t] = i
+            j, g = tag, g - 1
+    assert j == 0, "reference backtrack failed to place every dummy"
+    merged = []
+    for b in range(n_real + 1):
+        merged.extend(dummies[t] for t in range(n_dummy) if boundary[t] == b)
+        if b < n_real:
+            merged.append(reals[b])
+    return Permutation(tuple(merged)), dp[k][n_real][n_dummy]

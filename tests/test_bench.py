@@ -8,6 +8,7 @@ import pytest
 
 from conftest import gen
 
+from oscm_gaps import bench
 from oscm_gaps.bench import (
     RUN_RECORD_COLUMNS,
     AlgoSpec,
@@ -131,6 +132,23 @@ class TestRunBench:
             assert row["ratio_crossings"], row
             assert float(row["ratio_crossings"]) >= 1.0
 
+    def test_timed_out_exact_row_is_no_reference(self, tmp_path):
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": None,
+                "instances": 1,
+                "base_params": {"n": 12, "f_dm": "0.2", "deg_avg": 3, "seed": 1},
+                "algos": ["median_kgaps:2", "exact_kgaps:2"],
+            }
+        )
+        rows = read_rows(run_bench(config, tmp_path, time_budget_s=0)[0])
+        assert [r["status"] for r in rows] == ["ok", "timeout_incumbent"]
+        for row in rows:
+            assert row["crossings"]
+            assert row["optimal_crossings"] == ""
+            assert row["ratio_crossings"] == ""
+            assert row["ratio_time"] == ""
+
     def test_oracle_error_rows_do_not_stop_the_harness(self, tmp_path):
         config = BenchConfig.from_dict(
             {
@@ -201,3 +219,37 @@ class TestRunBench:
         for row in rows:
             if row["algo"].endswith("_kgaps"):
                 assert int(row["gaps"]) <= int(row["k"])
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,expected",
+        [(64, 16, 6), (64, 4, 4), (3, 16, 3), (2, 1, None), (1, 16, None)],
+    )
+    def test_jobs_clamped_to_cells_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, expected):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": None,
+                "instances": 3,
+                "base_params": {"n": 8, "f_dm": "0.25", "deg_avg": 2, "seed": 2},
+                "algos": ["median_sidegaps", "median_kgaps:2"],
+            }
+        )
+        csv_path, _ = run_bench(config, tmp_path, jobs=jobs)
+        assert len(read_rows(csv_path)) == 6
+        assert started == ([] if expected is None else [expected])

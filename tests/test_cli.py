@@ -155,6 +155,11 @@ class TestBenchCommand:
         assert result.exit_code == 2
 
 
+    def test_jobs_below_one_exit_2(self, runner, tmp_path):
+        result = invoke(runner, "bench", "--jobs", 0, "--out", tmp_path / "out")
+        assert result.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
 class TestDraw:
     def test_tiny_instance_glyph_counts(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -10,6 +10,7 @@ from oracles import (
     naive_crossings,
     naive_mixed_crossings,
     naive_pair_crossings,
+    reference_k_gap_merge,
 )
 
 from oscm_gaps.core import (
@@ -21,9 +22,9 @@ from oscm_gaps.core import (
 )
 from oscm_gaps.gap_placement import (
     block_cost_tables,
-    build_merge_table,
     canonical_dummy_order,
     k_gap_merge,
+    merge_dp,
     mixed_crossings,
     side_gap_merge,
     solve_kgaps,
@@ -109,7 +110,7 @@ class TestBlockCostTables:
         inst = gen(7, 0.4, 2, seed)
         real_order = real_order_of(inst)
         dummy_order = canonical_dummy_order(inst).order
-        tables = block_cost_tables(inst, real_order, dummy_order)
+        rows = block_cost_tables(inst, real_order, dummy_order)
         reals, dummies = real_order.order, dummy_order.order
         for i in range(len(reals) + 1):
             for jp in range(len(dummies) + 1):
@@ -118,23 +119,40 @@ class TestBlockCostTables:
                     expected = block_crossings(inst, reals[:i], block) + block_crossings(
                         inst, block, reals[i:]
                     )
-                    assert tables.prefix[i][j] - tables.prefix[i][jp] == expected
+                    assert rows[i][j] - rows[i][jp] == expected
 
 
 class TestMergeTable:
     def test_base_cases_and_monotone_in_g(self):
         inst = gen(8, 0.5, 2, 4)
-        table = build_merge_table(inst, real_order_of(inst), 3)
-        n_real = len(table.real_order)
-        n_dummy = len(table.dummy_order)
+        real_order = real_order_of(inst)
+        costs = block_cost_tables(inst, real_order, canonical_dummy_order(inst).order)
+        dp = merge_dp(costs, 3)
+        n_real = len(real_order)
+        n_dummy = len(inst.dummy_top_ids)
+        assert len(dp) == 3 and n_dummy >= 3
         for i in range(n_real + 1):
-            assert table.dp[0][i][0] == 0
+            for layer in dp:
+                assert layer[i][0] == 0
+            # from the no-gap base row (only j = 0 reachable), one gap holds
+            # one block at the best boundary so far
             for j in range(1, n_dummy + 1):
-                assert table.dp[0][i][j] == table.infinity
-        for g in range(1, len(table.dp)):
+                assert dp[0][i][j] == min(costs[b][j] for b in range(i + 1))
+        for g in range(1, len(dp)):
             for i in range(n_real + 1):
                 for j in range(n_dummy + 1):
-                    assert table.dp[g][i][j] <= table.dp[g - 1][i][j]
+                    assert dp[g][i][j] <= dp[g - 1][i][j]
+
+
+# (n, f_dm, heuristic, k); n=200 is costly for the quadratic reference,
+# so it gets one case per dummy fraction
+_REFERENCE_MERGE_CASES = [
+    (n, f_dm, kind, k)
+    for n in (3, 8, 20, 40)
+    for f_dm in ("0.2", "0.5", "0.8")
+    for kind in ("median", "barycenter")
+    for k in (1, 2, 3, 5, 8)
+] + [(200, "0.2", "median", 5), (200, "0.5", "barycenter", 3), (200, "0.8", "median", 2)]
 
 
 class TestKGapMerge:
@@ -188,6 +206,16 @@ class TestKGapMerge:
         assert mixed == best_mixed
         assert naive_crossings(inst, merged) == best_total
         assert count_gaps(inst, merged).count <= k
+
+    @pytest.mark.parametrize("n,f_dm,kind,k", _REFERENCE_MERGE_CASES)
+    def test_matches_reference_merge(self, n, f_dm, kind, k):
+        for seed in (1, 2):
+            inst = gen(n, f_dm, 3, seed)
+            order = real_order_of(inst, kind)
+            merged, mixed = k_gap_merge(inst, order, k)
+            expected, expected_mixed = reference_k_gap_merge(inst, order, k)
+            assert merged.order == expected.order
+            assert mixed == expected_mixed
 
     @given(inst=instances())
     @settings(max_examples=40, deadline=None)
