@@ -1,113 +1,29 @@
-"""Crossing minimization for two-layer drawings under gap constraints."""
+"""Crossing minimization for two-layer drawings under gap constraints.
 
-from .core import (
-    BipartiteInstance,
-    CrossingMatrix,
-    GapReport,
-    InputError,
-    Node,
-    Permutation,
-    block_crossings,
-    concatenate,
-    count_crossings,
-    count_gaps,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    load_permutation,
-    pair_crossings,
-    pairwise_crossings,
-    permutation_from_json,
-    permutation_to_json,
-    restrict_top,
-    save_instance,
-    save_permutation,
-    validate_instance,
-)
-from .exact import (
-    LinearModel,
-    OrderingModel,
-    SolveResult,
-    brute_force_oracle,
-    build_base_oscm_model,
-    build_kgap_model,
-    enumerate_optima,
-    export_model,
-    import_model,
-    solve_branch_and_bound,
-    solve_kgap_exact,
-    solve_sidegap_exact,
-    solve_unrestricted_exact,
-)
-from .gap_placement import (
-    CanonicalDummyOrder,
-    canonical_dummy_order,
-    k_gap_merge,
-    mixed_crossings,
-    side_gap_merge,
-    solve_kgaps,
-    solve_sidegaps,
-)
-from .generator import GenParams, SplitMix64, generate
-from .heuristics import (
-    HeuristicKind,
-    KeyedNode,
-    heuristic_keys,
-    heuristic_order,
-    is_dummy_independent_witness,
-)
+The package root exports the library surface shown in the README; every
+other name is imported from its submodule (`oscm_gaps.core`,
+`oscm_gaps.exact`, ...).
+"""
+
+from .core import BipartiteInstance, InputError, Permutation, count_crossings, count_gaps
+from .exact import SolveResult, solve_kgap_exact, solve_sidegap_exact, solve_unrestricted_exact
+from .gap_placement import solve_kgaps, solve_sidegaps
+from .generator import GenParams, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteInstance",
-    "CanonicalDummyOrder",
-    "CrossingMatrix",
-    "GapReport",
     "GenParams",
-    "HeuristicKind",
     "InputError",
-    "KeyedNode",
-    "LinearModel",
-    "Node",
-    "OrderingModel",
     "Permutation",
     "SolveResult",
-    "SplitMix64",
-    "block_crossings",
-    "brute_force_oracle",
-    "build_base_oscm_model",
-    "build_kgap_model",
-    "canonical_dummy_order",
-    "concatenate",
     "count_crossings",
     "count_gaps",
-    "enumerate_optima",
-    "export_model",
     "generate",
-    "heuristic_keys",
-    "heuristic_order",
-    "import_model",
-    "instance_from_json",
-    "instance_to_json",
-    "is_dummy_independent_witness",
-    "k_gap_merge",
-    "load_instance",
-    "load_permutation",
-    "mixed_crossings",
-    "pair_crossings",
-    "pairwise_crossings",
-    "permutation_from_json",
-    "permutation_to_json",
-    "restrict_top",
-    "save_instance",
-    "save_permutation",
-    "side_gap_merge",
-    "solve_branch_and_bound",
     "solve_kgap_exact",
     "solve_kgaps",
     "solve_sidegap_exact",
     "solve_sidegaps",
     "solve_unrestricted_exact",
-    "validate_instance",
 ]

@@ -1,9 +1,12 @@
 """Experiment harness: run an algorithm matrix over seeded random
 instances, collect crossing counts/timings as CSV, and plot the sweeps.
 
-Heuristic variants are compared against the matching exact variant (same
-gap regime, same k); exact solvers honor a per-run time budget and report
-timeouts as rows rather than failures.
+`ALGORITHMS` is the one list of algorithms: it maps each name to its
+solver, its gap regime and whether it is exact, and every name-dependent
+choice here and in the CLI reads it. Heuristic variants are compared
+against the exact variant of the same gap regime (same k); exact solvers
+honor a per-run time budget and report timeouts as rows rather than
+failures.
 """
 
 from __future__ import annotations
@@ -17,25 +20,62 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from typing import Callable, Literal
 
 from .core import BipartiteInstance, InputError, Permutation, count_crossings, count_gaps
 from .draw import svg_line_chart
-from .exact import brute_force_oracle, solve_kgap_exact, solve_sidegap_exact
+from .exact import SolveResult, brute_force_oracle, solve_kgap_exact, solve_sidegap_exact
 from .gap_placement import solve_kgaps, solve_sidegaps
-from .generator import GenParams, generate
+from .generator import GenParams, as_int, generate
 
-ALGO_NAMES = (
-    "median_sidegaps",
-    "barycenter_sidegaps",
-    "exact_sidegaps",
-    "median_kgaps",
-    "barycenter_kgaps",
-    "exact_kgaps",
-    "oracle",
-)
 
-_KGAP_ALGOS = {"median_kgaps", "barycenter_kgaps", "exact_kgaps"}
-_EXACT_ALGOS = {"exact_sidegaps", "exact_kgaps", "oracle"}
+@dataclass(frozen=True)
+class Algorithm:
+    """A registry entry. `solve(inst, k, time_budget_s)` returns
+    (permutation, status); `regime` is the gap constraint its output
+    meets, None for the unrestricted oracle, which a k bounds to k gaps."""
+
+    solve: Callable[[BipartiteInstance, int | None, float], tuple[Permutation, str]]
+    regime: Literal["sidegaps", "kgaps"] | None
+    exact: bool
+
+
+def _proven(result: SolveResult) -> tuple[Permutation, str]:
+    if result.permutation is None:
+        raise InputError("exact solver produced no permutation")
+    return result.permutation, result.status
+
+
+def _sidegaps(base: str):
+    return lambda inst, k, time_budget_s: (solve_sidegaps(inst, base), "ok")
+
+
+def _kgaps(base: str):
+    return lambda inst, k, time_budget_s: (solve_kgaps(inst, base, k), "ok")
+
+
+def _oracle(inst: BipartiteInstance, k: int | None, time_budget_s: float):
+    permutation, _ = brute_force_oracle(inst, "unrestricted" if k is None else "kgap", k=k)
+    return permutation, "optimal"
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "median_sidegaps": Algorithm(_sidegaps("median"), "sidegaps", False),
+    "barycenter_sidegaps": Algorithm(_sidegaps("barycenter"), "sidegaps", False),
+    "exact_sidegaps": Algorithm(
+        lambda inst, k, time_budget_s: _proven(solve_sidegap_exact(inst, time_budget_s)),
+        "sidegaps",
+        True,
+    ),
+    "median_kgaps": Algorithm(_kgaps("median"), "kgaps", False),
+    "barycenter_kgaps": Algorithm(_kgaps("barycenter"), "kgaps", False),
+    "exact_kgaps": Algorithm(
+        lambda inst, k, time_budget_s: _proven(solve_kgap_exact(inst, k, time_budget_s)),
+        "kgaps",
+        True,
+    ),
+    "oracle": Algorithm(_oracle, None, True),
+}
 
 EXACT_SIZE_LIMIT = 20  # exact runs above this need allow_large
 
@@ -49,16 +89,18 @@ class AlgoSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in ALGO_NAMES:
-            raise InputError(f"unknown algorithm {self.name!r} (choose from {ALGO_NAMES})")
+        if self.name not in ALGORITHMS:
+            raise InputError(f"unknown algorithm {self.name!r} (choose from {tuple(ALGORITHMS)})")
         if self.k is not None and self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
-        if self.k is not None and self.name not in _KGAP_ALGOS | {"oracle"}:
+        if self.k is not None and self.algorithm.regime == "sidegaps":
             raise InputError(f"{self.name} does not take k")
 
     @classmethod
     def parse(cls, text: str) -> "AlgoSpec":
         """Parse "name" or "name:k" (e.g. "median_kgaps:2")."""
+        if not isinstance(text, str):
+            raise InputError(f"algorithm must be a string like 'median_kgaps:2', got {text!r}")
         name, _, suffix = text.partition(":")
         k = None
         if suffix:
@@ -68,48 +110,27 @@ class AlgoSpec:
                 raise InputError(f"bad k suffix in algorithm {text!r}") from None
         return cls(name.strip(), k)
 
+    @property
+    def algorithm(self) -> Algorithm:
+        return ALGORITHMS[self.name]
+
     def with_k(self, k: int) -> "AlgoSpec":
-        if self.name in _KGAP_ALGOS and self.k is None:
+        if self.needs_k and self.k is None:
             return AlgoSpec(self.name, k)
         return self
 
     @property
     def needs_k(self) -> bool:
-        return self.name in _KGAP_ALGOS
+        return self.algorithm.regime == "kgaps"
 
 
 def solve_with(
     inst: BipartiteInstance, spec: AlgoSpec, time_budget_s: float = 300.0
 ) -> tuple[Permutation, str]:
-    """Dispatch to the matching pipeline; returns (permutation, status)."""
-    name, k = spec.name, spec.k
-    if spec.needs_k and k is None:
-        raise InputError(f"{name} requires k")
-    if name == "median_sidegaps":
-        return solve_sidegaps(inst, "median"), "ok"
-    if name == "barycenter_sidegaps":
-        return solve_sidegaps(inst, "barycenter"), "ok"
-    if name == "median_kgaps":
-        return solve_kgaps(inst, "median", k), "ok"
-    if name == "barycenter_kgaps":
-        return solve_kgaps(inst, "barycenter", k), "ok"
-    if name == "exact_sidegaps":
-        result = solve_sidegap_exact(inst, time_budget_s)
-        if result.permutation is None:
-            raise InputError("exact solver produced no permutation")
-        return result.permutation, result.status
-    if name == "exact_kgaps":
-        result = solve_kgap_exact(inst, k, time_budget_s)
-        if result.permutation is None:
-            raise InputError("exact solver produced no permutation")
-        return result.permutation, result.status
-    if name == "oracle":
-        if k is not None:
-            perm, _ = brute_force_oracle(inst, "kgap", k=k)
-        else:
-            perm, _ = brute_force_oracle(inst, "unrestricted")
-        return perm, "optimal"
-    raise InputError(f"unknown algorithm {name!r}")
+    """Run the registry entry of `spec`; returns (permutation, status)."""
+    if spec.needs_k and spec.k is None:
+        raise InputError(f"{spec.name} requires k")
+    return spec.algorithm.solve(inst, spec.k, time_budget_s)
 
 
 RUN_RECORD_COLUMNS = (
@@ -173,22 +194,32 @@ def _fmt_number(value: Fraction | float | int) -> str:
     return f"{float(value):g}"
 
 
+def instance_meta(params: GenParams) -> dict:
+    """The instance columns (instance_id, seed, n, f_dm, deg_avg) of a
+    generated instance's run records."""
+    f_dm, deg_avg = _fmt_number(params.f_dm), _fmt_number(params.deg_avg)
+    return {
+        "instance_id": f"n{params.n}_f{f_dm}_d{deg_avg}_s{params.seed}",
+        "seed": params.seed,
+        "n": params.n,
+        "f_dm": f_dm,
+        "deg_avg": deg_avg,
+    }
+
+
 def run_record(
     inst: BipartiteInstance,
-    params: GenParams,
+    meta: dict,
     spec: AlgoSpec,
     permutation: Permutation,
     status: str,
     wall_time_ms: float,
 ) -> RunRecord:
-    # crossings and gaps are recomputed from the permutation, never taken
-    # from solver-reported numbers
+    """`meta` holds the instance columns, as `instance_meta` builds them.
+    Crossings and gaps are recomputed from the permutation, never taken
+    from solver-reported numbers."""
     return RunRecord(
-        instance_id=f"n{params.n}_f{_fmt_number(params.f_dm)}_d{_fmt_number(params.deg_avg)}_s{params.seed}",
-        seed=params.seed,
-        n=params.n,
-        f_dm=_fmt_number(params.f_dm),
-        deg_avg=_fmt_number(params.deg_avg),
+        **meta,
         algo=spec.name,
         k=spec.k,
         crossings=count_crossings(inst, permutation),
@@ -210,23 +241,33 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchConfig":
+        if not isinstance(payload, dict):
+            raise InputError(f"bench config must be a JSON object, got {type(payload).__name__}")
         sweep = payload.get("sweep_param")
         if sweep is not None and sweep not in ("n", "f_dm", "deg_avg", "k"):
             raise InputError(f"sweep_param must be one of n, f_dm, deg_avg, k; got {sweep!r}")
         values = payload.get("values") or [None]
         if sweep is None:
             values = [None]
-        instances = int(payload.get("instances", 20))
+        elif not isinstance(values, list):
+            raise InputError(f"values must be a list, got {values!r}")
+        elif sweep == "k":
+            values = [as_int(v, "k") for v in values]
+            if min(values) < 1:
+                raise InputError(f"k must be >= 1, got {min(values)}")
+        instances = as_int(payload.get("instances", 20), "instances")
         if instances < 1:
             raise InputError("instances must be >= 1")
-        base = dict(payload.get("base_params", {}))
-        base.setdefault("n", 40)
-        base.setdefault("f_dm", "0.2")
-        base.setdefault("deg_avg", 3)
-        base.setdefault("seed", 1)
+        base = payload.get("base_params", {})
+        if not isinstance(base, dict):
+            raise InputError(f"base_params must be an object, got {base!r}")
+        base = {"n": 40, "f_dm": "0.2", "deg_avg": 3, **base}
+        base["seed"] = as_int(base.get("seed", 1), "seed")
         algos_raw = payload.get("algos")
         if not algos_raw:
             raise InputError("config lists no algorithms")
+        if not isinstance(algos_raw, list):
+            raise InputError(f"algos must be a list, got {algos_raw!r}")
         algos = [a if isinstance(a, AlgoSpec) else AlgoSpec.parse(a) for a in algos_raw]
         return cls(sweep, list(values), instances, base, algos)
 
@@ -260,7 +301,7 @@ class BenchConfig:
     def cells(self) -> list[tuple[int, int, GenParams, AlgoSpec]]:
         """(value_index, instance_index, params, resolved algo) per run."""
         out = []
-        base_seed = int(self.base_params.get("seed", 1))
+        base_seed = self.base_params["seed"]
         for v_idx, value in enumerate(self.values):
             params_kw = {
                 "n": self.base_params["n"],
@@ -269,7 +310,7 @@ class BenchConfig:
             }
             k_value = None
             if self.sweep_param == "k":
-                k_value = int(value)
+                k_value = value
             elif self.sweep_param is not None:
                 params_kw[self.sweep_param] = value
             for i_idx in range(self.instances):
@@ -287,18 +328,15 @@ class BenchConfig:
 def _run_cell(cell) -> tuple[int, int, int | None, RunRecord]:
     v_idx, i_idx, params, spec, time_budget_s = cell
     inst = generate(params)
+    meta = instance_meta(params)
     try:
         started = perf_counter()
         permutation, status = solve_with(inst, spec, time_budget_s)
         elapsed_ms = (perf_counter() - started) * 1000.0
-        record = run_record(inst, params, spec, permutation, status, elapsed_ms)
+        record = run_record(inst, meta, spec, permutation, status, elapsed_ms)
     except Exception as exc:  # per-row fault isolation: the matrix keeps running
         record = RunRecord(
-            instance_id=f"n{params.n}_f{_fmt_number(params.f_dm)}_d{_fmt_number(params.deg_avg)}_s{params.seed}",
-            seed=params.seed,
-            n=params.n,
-            f_dm=_fmt_number(params.f_dm),
-            deg_avg=_fmt_number(params.deg_avg),
+            **meta,
             algo=spec.name,
             k=spec.k,
             crossings=None,
@@ -310,17 +348,14 @@ def _run_cell(cell) -> tuple[int, int, int | None, RunRecord]:
 
 
 def _attach_ratios(groups: dict, records: list[tuple[tuple, RunRecord]]) -> None:
-    """Fill optimal/ratio columns from the matching exact row in the same
-    (sweep value, instance) group, if that row proved its optimum; a
-    timed-out incumbent is no reference."""
+    """Fill optimal/ratio columns from the row of the exact algorithm of
+    the same gap regime and k in the same (sweep value, instance) group,
+    if that row proved its optimum; a timed-out incumbent is no reference."""
+    exact_of = {a.regime: name for name, a in ALGORITHMS.items() if a.exact and a.regime}
     for key, record in records:
         v_idx, i_idx, _ = key
-        group = groups[(v_idx, i_idx)]
-        reference = None
-        if record.algo.endswith("_sidegaps"):
-            reference = group.get(("exact_sidegaps", None))
-        elif record.algo.endswith("_kgaps"):
-            reference = group.get(("exact_kgaps", record.k))
+        reference_algo = exact_of.get(ALGORITHMS[record.algo].regime)
+        reference = groups[(v_idx, i_idx)].get((reference_algo, record.k))
         if reference is None or reference.status != "optimal" or record.crossings is None:
             continue
         record.optimal_crossings = reference.crossings
@@ -354,12 +389,14 @@ def run_bench(
     cells = config.cells()
 
     for _, _, params, spec in cells:
-        if spec.name in ("exact_sidegaps", "exact_kgaps") and params.n > EXACT_SIZE_LIMIT:
-            if not allow_large:
-                raise InputError(
-                    f"exact run at n={params.n} exceeds the n<={EXACT_SIZE_LIMIT} default; "
-                    "pass allow_large to accept possible timeouts"
-                )
+        # the oracle refuses large instances itself; the branch and bound
+        # would only run into its time budget
+        searched = spec.algorithm.exact and spec.algorithm.regime is not None
+        if searched and params.n > EXACT_SIZE_LIMIT and not allow_large:
+            raise InputError(
+                f"exact run at n={params.n} exceeds the n<={EXACT_SIZE_LIMIT} default; "
+                "pass allow_large to accept possible timeouts"
+            )
 
     work = [(v, i, p, s, time_budget_s) for v, i, p, s in cells]
     workers = min(jobs, len(work), os.cpu_count() or 1)
@@ -426,7 +463,7 @@ def _write_plots(
                 series.append((label, points))
         return series
 
-    include_exact = any(spec.name in _EXACT_ALGOS for spec in config.algos)
+    include_exact = any(spec.algorithm.exact for spec in config.algos)
     charts = [
         ("crossings.svg", "crossings", lambda r: r.crossings, False),
         ("time_s.svg", "time [s]", lambda r: None if r.wall_time_ms is None else r.wall_time_ms / 1000.0, include_exact),

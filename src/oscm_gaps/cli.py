@@ -16,6 +16,7 @@ from time import perf_counter
 import click
 
 from .bench import (
+    ALGORITHMS,
     RUN_RECORD_COLUMNS,
     AlgoSpec,
     BenchConfig,
@@ -26,6 +27,7 @@ from .bench import (
 from .core import (
     InputError,
     count_crossings,
+    count_gaps,
     load_instance,
     load_permutation,
     save_instance,
@@ -94,21 +96,7 @@ def _record_csv(record) -> str:
 
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--algo",
-    type=click.Choice(
-        [
-            "median_sidegaps",
-            "barycenter_sidegaps",
-            "exact_sidegaps",
-            "median_kgaps",
-            "barycenter_kgaps",
-            "exact_kgaps",
-            "oracle",
-        ]
-    ),
-    required=True,
-)
+@click.option("--algo", type=click.Choice(list(ALGORITHMS)), required=True)
 @click.option("--k", type=int, default=None, help="Gap budget for kgaps variants.")
 @click.option("--time-budget-s", type=float, default=300.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Permutation JSON path.")
@@ -122,26 +110,22 @@ def solve(instance, algo, k, time_budget_s, out):
     elapsed_ms = (perf_counter() - started) * 1000.0
     save_permutation(permutation, out)
 
-    params = _params_for_record(inst, instance)
-    record = run_record(inst, params, spec, permutation, status, elapsed_ms)
-    record.instance_id = Path(instance).stem
-    record.seed = 0
+    # a loaded instance has no generator parameters: its columns are
+    # measured, and its seed is 0
+    reals = inst.real_top_ids
+    f_dm = len(inst.dummy_top_ids) / len(inst.top) if inst.top else 0
+    deg_avg = sum(map(inst.degree, reals)) / len(reals) if reals else 0
+    meta = {
+        "instance_id": Path(instance).stem,
+        "seed": 0,
+        "n": max(len(inst.top), len(inst.bottom)),
+        "f_dm": f"{f_dm:g}",
+        "deg_avg": f"{deg_avg:g}",
+    }
+    record = run_record(inst, meta, spec, permutation, status, elapsed_ms)
     click.echo(_record_csv(record))
     if status == "timeout_incumbent":
         sys.exit(EXIT_TIMEOUT)
-
-
-def _params_for_record(inst, path) -> GenParams:
-    # metadata columns for hand-loaded instances: reconstruct what we can
-    n = max(len(inst.top), len(inst.bottom), 1)
-    dummy_fraction = len(inst.dummy_top_ids) / len(inst.top) if inst.top else 0
-    reals = inst.real_top_ids
-    deg = (
-        sum(inst.degree(v) for v in reals) / len(reals)
-        if reals
-        else 1
-    )
-    return GenParams(n=n, f_dm=str(dummy_fraction), deg_avg=str(max(deg, 0.001)), seed=0)
 
 
 @cli.command()
@@ -211,15 +195,9 @@ def draw(instance, permutation, out):
     inst = load_instance(instance)
     pi2 = load_permutation(permutation)
     Path(out).write_text(render_two_layer_svg(inst, pi2), encoding="utf-8")
-    gaps = count_gaps_summary(inst, pi2)
-    click.echo(f"wrote {out} ({gaps})")
-
-
-def count_gaps_summary(inst, pi2) -> str:
-    from .core import count_gaps
-
-    report = count_gaps(inst, pi2)
-    return f"crossings={count_crossings(inst, pi2)} gaps={report.count}"
+    click.echo(
+        f"wrote {out} (crossings={count_crossings(inst, pi2)} gaps={count_gaps(inst, pi2).count})"
+    )
 
 
 def main() -> None:

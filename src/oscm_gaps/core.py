@@ -297,15 +297,6 @@ class CrossingMatrix:
     def cost(self, u: int, v: int) -> int:
         return self.rows[self.index[u]][self.index[v]]
 
-    def total(self, pi2: Permutation) -> int:
-        """Sum of c[u][v] over ordered pairs u before v in pi2."""
-        order = [self.index[v] for v in pi2.order]
-        return sum(
-            self.rows[order[i]][order[j]]
-            for i in range(len(order))
-            for j in range(i + 1, len(order))
-        )
-
 
 def pairwise_crossings(inst: BipartiteInstance) -> CrossingMatrix:
     ids = inst.top_ids

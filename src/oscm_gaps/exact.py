@@ -347,11 +347,7 @@ def solve_branch_and_bound(
         if not feasible(initial):
             raise InputError("initial incumbent violates the model's constraints")
         best_order = [index[v] for v in initial.order]
-        best_obj = sum(
-            cost[best_order[a]][best_order[b]]
-            for a in range(p)
-            for b in range(a + 1, p)
-        )
+        best_obj = objective_value(model, initial)
 
     if time_budget_s <= 0:
         perm = Permutation(tuple(model.ids[u] for u in best_order)) if best_order else None

@@ -207,20 +207,9 @@ def k_gap_merge(
     return Permutation(tuple(merged)), mixed
 
 
-def solve_sidegaps(
-    inst: BipartiteInstance,
-    base: HeuristicKind | str = "median",
-    time_budget_s: float = 300.0,
-) -> Permutation:
-    """Order the real nodes with `base` ("median", "barycenter", or
-    "exact"), then place all dummies into side gaps."""
-    if base == "exact":
-        from .exact import solve_sidegap_exact
-
-        result = solve_sidegap_exact(inst, time_budget_s)
-        if result.permutation is None:
-            raise InputError("exact base produced no permutation within the budget")
-        return result.permutation
+def solve_sidegaps(inst: BipartiteInstance, base: HeuristicKind = "median") -> Permutation:
+    """Order the real nodes with a heuristic ("median" or "barycenter"),
+    then place all dummies into side gaps."""
     real_order = heuristic_order(inst, inst.real_top_ids, base)
     return side_gap_merge(inst, real_order)
 

@@ -44,12 +44,19 @@ class SplitMix64:
 def _as_fraction(value: int | float | str | Fraction, name: str) -> Fraction:
     # Floats go through str() so "0.3" means 3/10, not the nearest binary
     # float; n_dm = floor(n * f_dm) must match the decimal the user typed.
-    if isinstance(value, float):
-        return Fraction(str(value))
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad {name}: {value!r} ({exc})") from None
+
+
+def as_int(value: int | float | str, name: str) -> int:
+    """`value` as an integer; integral floats and numeric strings pass,
+    anything else (2.7, "abc", None) is an input error."""
+    number = _as_fraction(value, name)
+    if number.denominator != 1:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,10 @@ class GenParams:
         deg_avg: int | float | str | Fraction,
         seed: int,
     ) -> None:
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", as_int(n, "n"))
         object.__setattr__(self, "f_dm", _as_fraction(f_dm, "f_dm"))
         object.__setattr__(self, "deg_avg", _as_fraction(deg_avg, "deg_avg"))
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", as_int(seed, "seed"))
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.f_dm <= 1:

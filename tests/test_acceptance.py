@@ -23,10 +23,11 @@ from oscm_gaps.core import (
     Permutation,
     count_crossings,
     count_gaps,
-    pairwise_crossings,
 )
 from oscm_gaps.exact import (
+    build_base_oscm_model,
     enumerate_optima,
+    objective_value,
     solve_kgap_exact,
     solve_sidegap_exact,
     solve_unrestricted_exact,
@@ -100,7 +101,7 @@ def test_criterion_1_exact_solver_matches_oracle(small_corpus):
 
 def test_criterion_2_sidegap_composition_exact(small_corpus):
     for inst, optima in small_corpus:
-        merged = solve_sidegaps(inst, "exact")
+        merged = solve_sidegap_exact(inst).permutation
         assert count_crossings(inst, merged) == optima["sidegap"][1]
     print(f"criterion 2: exact-base side-gap composition optimal on {len(small_corpus)} instances")
 
@@ -180,7 +181,7 @@ def test_criterion_5_output_invariants(small_corpus):
             for k in (1, 2):
                 _assert_output_invariants(inst, solve_kgaps(inst, kind, k), k=k)
                 checked += 1
-        _assert_output_invariants(inst, solve_sidegaps(inst, "exact"), side_gap=True)
+        _assert_output_invariants(inst, solve_sidegap_exact(inst).permutation, side_gap=True)
         result = solve_kgap_exact(inst, 2)
         _assert_output_invariants(inst, result.permutation, k=2)
         checked += 2
@@ -228,13 +229,13 @@ def test_criterion_8_crossing_count_consistency():
             f_dm = ("0", "0.25", "0.5")[seed % 3]
             deg_avg = (1, 2, 3)[seed % 3]
             inst = gen(n, f_dm, deg_avg, seed)
-            matrix = pairwise_crossings(inst)
+            model = build_base_oscm_model(inst)
             rng = random.Random(1000 * n + seed)
             for _ in range(10):
                 order = list(inst.top_ids)
                 rng.shuffle(order)
                 pi2 = Permutation(tuple(order))
-                assert count_crossings(inst, pi2) == matrix.total(pi2)
+                assert count_crossings(inst, pi2) == objective_value(model, pi2)
             instances += 1
     elapsed = time.perf_counter() - started
     assert instances >= 100

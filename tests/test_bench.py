@@ -10,6 +10,7 @@ from conftest import gen
 
 from oscm_gaps import bench
 from oscm_gaps.bench import (
+    ALGORITHMS,
     RUN_RECORD_COLUMNS,
     AlgoSpec,
     BenchConfig,
@@ -61,20 +62,16 @@ class TestSolveWith:
 
     @pytest.mark.parametrize(
         "spec",
-        [
-            AlgoSpec("median_sidegaps"),
-            AlgoSpec("barycenter_sidegaps"),
-            AlgoSpec("exact_sidegaps"),
-            AlgoSpec("median_kgaps", 2),
-            AlgoSpec("exact_kgaps", 2),
-            AlgoSpec("oracle", 2),
-        ],
+        # every registry entry, k=2 where it is required, plus the oracle's
+        # bounded-gap mode
+        [AlgoSpec(name).with_k(2) for name in ALGORITHMS] + [AlgoSpec("oracle", 2)],
     )
     def test_gap_constraints_respected(self, spec):
         inst = gen(7, 0.4, 2, 9)
-        perm, _ = solve_with(inst, spec, 60.0)
+        perm, status = solve_with(inst, spec, 60.0)
+        assert status == ("optimal" if spec.algorithm.exact else "ok")
         report = count_gaps(inst, perm)
-        if spec.name.endswith("_sidegaps"):
+        if spec.algorithm.regime == "sidegaps":
             assert report.is_side_gap_permutation
         elif spec.k is not None:
             assert report.count <= spec.k

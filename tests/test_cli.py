@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import mk_instance
+
+from oscm_gaps.bench import ALGORITHMS
 from oscm_gaps.cli import cli
-from oscm_gaps.core import count_crossings, load_instance, load_permutation
+from oscm_gaps.core import count_crossings, load_instance, load_permutation, save_instance
 from oscm_gaps.exact import brute_force_oracle
 from oscm_gaps.heuristics import heuristic_order
 
@@ -104,6 +107,22 @@ class TestSolve:
                         "--out", tmp_path / "p.json")
         assert result.exit_code == 2
 
+    def test_algo_choices_are_the_registry(self):
+        algo = next(p for p in cli.commands["solve"].params if p.name == "algo")
+        assert list(algo.type.choices) == list(ALGORITHMS)
+
+    @pytest.mark.parametrize(
+        "top_kinds, f_dm", [("rr", "0"), ("dd", "1")], ids=["edgeless_reals", "no_reals"]
+    )
+    def test_record_reports_measured_degree(self, runner, tmp_path, top_kinds, f_dm):
+        inst_path = tmp_path / "inst.json"
+        save_instance(mk_instance("rr", top_kinds, []), str(inst_path))
+        result = invoke(runner, "solve", inst_path, "--algo", "median_kgaps", "--k", 1,
+                        "--out", tmp_path / "p.json")
+        assert result.exit_code == 0, result.output
+        row = result.output.strip().splitlines()[-1].split(",")
+        assert row[:5] == ["inst", "0", "2", f_dm, "0"]
+
 
 class TestOracleCommand:
     def test_modes_agree_with_library(self, runner, tmp_path):
@@ -159,6 +178,41 @@ class TestBenchCommand:
         result = invoke(runner, "bench", "--jobs", 0, "--out", tmp_path / "out")
         assert result.exit_code == 2
         assert not (tmp_path / "out").exists()
+
+    SMALL = {
+        "sweep_param": None,
+        "instances": 1,
+        "base_params": {"n": 6, "f_dm": "0.2", "deg_avg": 2, "seed": 1},
+        "algos": ["median_sidegaps"],
+    }
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (["median_sidegaps"], "must be a JSON object"),
+            ({**SMALL, "instances": "abc"}, "bad instances: 'abc'"),
+            ({**SMALL, "base_params": {"seed": "s"}}, "bad seed: 's'"),
+            ({**SMALL, "sweep_param": "n", "values": ["abc"]}, "bad n: 'abc'"),
+            ({**SMALL, "sweep_param": "k", "values": ["x"]}, "bad k: 'x'"),
+            ({**SMALL, "algos": [5]}, "algorithm must be a string"),
+            (
+                {**SMALL, "sweep_param": "k", "values": [2.7], "algos": ["median_kgaps"]},
+                "k must be an integer, got 2.7",
+            ),
+            ({**SMALL, "sweep_param": "k", "values": [2, 0]}, "k must be >= 1, got 0"),
+            ({**SMALL, "algos": "median_sidegaps"}, "algos must be a list"),
+        ],
+        ids=[
+            "list_config", "instances_text", "seed_text", "n_text", "k_text",
+            "algo_number", "k_fraction", "k_zero", "algos_string",
+        ],
+    )
+    def test_malformed_config_exit_2(self, runner, tmp_path, config, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, "bench", "--config", config_path, "--out", tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
 class TestDraw:
     def test_tiny_instance_glyph_counts(self, runner, tmp_path):

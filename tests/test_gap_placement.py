@@ -253,10 +253,10 @@ class TestPipelines:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_base_matches_sidegap_oracle(self, seed):
-        from oscm_gaps.exact import brute_force_oracle
+        from oscm_gaps.exact import brute_force_oracle, solve_sidegap_exact
 
         inst = gen(7, 0.4, 2, seed)
-        merged = solve_sidegaps(inst, "exact")
+        merged = solve_sidegap_exact(inst).permutation
         _, optimum = brute_force_oracle(inst, "sidegap")
         assert count_crossings(inst, merged) == optimum
 
