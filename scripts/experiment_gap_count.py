@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from oscm_gaps.bench import BenchConfig, run_bench
+from oscm_gaps.core import InputError
 
 
 def main() -> int:
@@ -29,24 +30,30 @@ def main() -> int:
         help="40 nodes per layer, heuristics only (no exact reference)",
     )
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     if args.paper_scale:
         n, algos = 40, ["median_kgaps", "barycenter_kgaps"]
     else:
         n, algos = 16, ["median_kgaps", "barycenter_kgaps", "exact_kgaps"]
 
-    config = BenchConfig.from_dict(
-        {
-            "sweep_param": "k",
-            "values": [1, 2, 3, 4, 5],
-            "instances": args.instances,
-            "base_params": {"n": n, "f_dm": "0.2", "deg_avg": 3, "seed": args.seed},
-            "algos": algos,
-        }
-    )
-    csv_path, plots = run_bench(
-        config, args.out, jobs=args.jobs, time_budget_s=args.time_budget_s
-    )
+    try:
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": "k",
+                "values": [1, 2, 3, 4, 5],
+                "instances": args.instances,
+                "base_params": {"n": n, "f_dm": "0.2", "deg_avg": 3, "seed": args.seed},
+                "algos": algos,
+            }
+        )
+        csv_path, plots = run_bench(
+            config, args.out, jobs=args.jobs, time_budget_s=args.time_budget_s
+        )
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {csv_path}")
     for path in plots:
         print(f"wrote {path}")

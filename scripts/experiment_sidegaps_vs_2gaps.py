@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from oscm_gaps.bench import BenchConfig, run_bench
+from oscm_gaps.core import InputError
 
 HEURISTICS = [
     "median_sidegaps",
@@ -36,24 +37,30 @@ def main() -> int:
         help="sweep up to 40 nodes per layer, heuristics only",
     )
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     if args.paper_scale:
         values, algos = [10, 20, 30, 40], HEURISTICS
     else:
         values, algos = [8, 12, 16, 20], HEURISTICS + EXACT
 
-    config = BenchConfig.from_dict(
-        {
-            "sweep_param": "n",
-            "values": values,
-            "instances": args.instances,
-            "base_params": {"f_dm": "0.2", "deg_avg": 3, "seed": args.seed},
-            "algos": algos,
-        }
-    )
-    csv_path, plots = run_bench(
-        config, args.out, jobs=args.jobs, time_budget_s=args.time_budget_s
-    )
+    try:
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": "n",
+                "values": values,
+                "instances": args.instances,
+                "base_params": {"f_dm": "0.2", "deg_avg": 3, "seed": args.seed},
+                "algos": algos,
+            }
+        )
+        csv_path, plots = run_bench(
+            config, args.out, jobs=args.jobs, time_budget_s=args.time_budget_s
+        )
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {csv_path}")
     for path in plots:
         print(f"wrote {path}")

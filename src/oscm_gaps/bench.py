@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -133,26 +133,10 @@ def solve_with(
     return spec.algorithm.solve(inst, spec.k, time_budget_s)
 
 
-RUN_RECORD_COLUMNS = (
-    "instance_id",
-    "seed",
-    "n",
-    "f_dm",
-    "deg_avg",
-    "algo",
-    "k",
-    "crossings",
-    "gaps",
-    "wall_time_ms",
-    "status",
-    "optimal_crossings",
-    "ratio_crossings",
-    "ratio_time",
-)
-
-
 @dataclass
 class RunRecord:
+    """One CSV row; the fields, in order, are the CSV columns."""
+
     instance_id: str
     seed: int
     n: int
@@ -169,25 +153,15 @@ class RunRecord:
     ratio_time: float | None = None
 
     def as_row(self) -> list[str]:
-        def fmt(value, pattern="{}"):
-            return "" if value is None else pattern.format(value)
+        row = []
+        for name in RUN_RECORD_COLUMNS:
+            value = getattr(self, name)
+            row.append("" if value is None else _COLUMN_FORMATS.get(name, "{}").format(value))
+        return row
 
-        return [
-            self.instance_id,
-            str(self.seed),
-            str(self.n),
-            self.f_dm,
-            self.deg_avg,
-            self.algo,
-            fmt(self.k),
-            fmt(self.crossings),
-            fmt(self.gaps),
-            fmt(self.wall_time_ms, "{:.3f}"),
-            self.status,
-            fmt(self.optimal_crossings),
-            fmt(self.ratio_crossings, "{:.6f}"),
-            fmt(self.ratio_time, "{:.6f}"),
-        ]
+
+RUN_RECORD_COLUMNS = tuple(f.name for f in fields(RunRecord))
+_COLUMN_FORMATS = {"wall_time_ms": "{:.3f}", "ratio_crossings": "{:.6f}", "ratio_time": "{:.6f}"}
 
 
 def _fmt_number(value: Fraction | float | int) -> str:
@@ -229,23 +203,38 @@ def run_record(
     )
 
 
+# a sweep varies one generator parameter (the seed excepted) or the gap budget k
+_SWEEPABLE = tuple(f.name for f in fields(GenParams) if f.name != "seed") + ("k",)
+_CONFIG_KEYS = ("sweep_param", "values", "instances", "base_params", "algos")
+_BASE_DEFAULTS = {"n": 40, "f_dm": "0.2", "deg_avg": 3, "seed": 1}
+
+
+def _refuse_unknown_keys(payload: dict, known, where: str) -> None:
+    for key in payload:
+        if key not in known:
+            raise InputError(f"unknown {where} key {key!r} (choose from {', '.join(known)})")
+
+
 @dataclass
 class BenchConfig:
-    """Sweep description: vary one of n, f_dm, deg_avg, k (or nothing)."""
+    """Sweep description: around the generator parameters `base`, vary
+    one of `_SWEEPABLE` or nothing; instance i of a cell uses seed
+    `base.seed + i`."""
 
     sweep_param: str | None
     values: list
     instances: int
-    base_params: dict
+    base: GenParams
     algos: list[AlgoSpec]
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchConfig":
         if not isinstance(payload, dict):
             raise InputError(f"bench config must be a JSON object, got {type(payload).__name__}")
+        _refuse_unknown_keys(payload, _CONFIG_KEYS, "bench config")
         sweep = payload.get("sweep_param")
-        if sweep is not None and sweep not in ("n", "f_dm", "deg_avg", "k"):
-            raise InputError(f"sweep_param must be one of n, f_dm, deg_avg, k; got {sweep!r}")
+        if sweep is not None and sweep not in _SWEEPABLE:
+            raise InputError(f"sweep_param must be one of {', '.join(_SWEEPABLE)}; got {sweep!r}")
         values = payload.get("values") or [None]
         if sweep is None:
             values = [None]
@@ -261,15 +250,14 @@ class BenchConfig:
         base = payload.get("base_params", {})
         if not isinstance(base, dict):
             raise InputError(f"base_params must be an object, got {base!r}")
-        base = {"n": 40, "f_dm": "0.2", "deg_avg": 3, **base}
-        base["seed"] = as_int(base.get("seed", 1), "seed")
+        _refuse_unknown_keys(base, [f.name for f in fields(GenParams)], "base_params")
         algos_raw = payload.get("algos")
         if not algos_raw:
             raise InputError("config lists no algorithms")
         if not isinstance(algos_raw, list):
             raise InputError(f"algos must be a list, got {algos_raw!r}")
         algos = [a if isinstance(a, AlgoSpec) else AlgoSpec.parse(a) for a in algos_raw]
-        return cls(sweep, list(values), instances, base, algos)
+        return cls(sweep, list(values), instances, GenParams(**{**_BASE_DEFAULTS, **base}), algos)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
@@ -285,10 +273,8 @@ class BenchConfig:
         degree 3, heuristic matrix with k=2."""
         return cls.from_dict(
             {
-                "sweep_param": None,
-                "values": None,
                 "instances": 20,
-                "base_params": {"n": 40, "f_dm": "0.2", "deg_avg": 3, "seed": 1},
+                "base_params": _BASE_DEFAULTS,
                 "algos": [
                     "median_sidegaps",
                     "barycenter_sidegaps",
@@ -301,22 +287,12 @@ class BenchConfig:
     def cells(self) -> list[tuple[int, int, GenParams, AlgoSpec]]:
         """(value_index, instance_index, params, resolved algo) per run."""
         out = []
-        base_seed = self.base_params["seed"]
         for v_idx, value in enumerate(self.values):
-            params_kw = {
-                "n": self.base_params["n"],
-                "f_dm": self.base_params["f_dm"],
-                "deg_avg": self.base_params["deg_avg"],
-            }
-            k_value = None
-            if self.sweep_param == "k":
-                k_value = value
-            elif self.sweep_param is not None:
-                params_kw[self.sweep_param] = value
+            swept = {} if self.sweep_param in (None, "k") else {self.sweep_param: value}
             for i_idx in range(self.instances):
-                params = GenParams(seed=base_seed + i_idx, **params_kw)
+                params = replace(self.base, seed=self.base.seed + i_idx, **swept)
                 for spec in self.algos:
-                    resolved = spec.with_k(k_value) if k_value is not None else spec
+                    resolved = spec.with_k(value) if self.sweep_param == "k" else spec
                     if resolved.needs_k and resolved.k is None:
                         raise InputError(
                             f"{resolved.name} needs k: give it as name:k or sweep k"
@@ -325,17 +301,17 @@ class BenchConfig:
         return out
 
 
-def _run_cell(cell) -> tuple[int, int, int | None, RunRecord]:
-    v_idx, i_idx, params, spec, time_budget_s = cell
+def _run_cell(cell) -> RunRecord:
+    params, spec, time_budget_s = cell
     inst = generate(params)
     meta = instance_meta(params)
     try:
         started = perf_counter()
         permutation, status = solve_with(inst, spec, time_budget_s)
         elapsed_ms = (perf_counter() - started) * 1000.0
-        record = run_record(inst, meta, spec, permutation, status, elapsed_ms)
+        return run_record(inst, meta, spec, permutation, status, elapsed_ms)
     except Exception as exc:  # per-row fault isolation: the matrix keeps running
-        record = RunRecord(
+        return RunRecord(
             **meta,
             algo=spec.name,
             k=spec.k,
@@ -344,31 +320,30 @@ def _run_cell(cell) -> tuple[int, int, int | None, RunRecord]:
             wall_time_ms=None,
             status=f"error: {exc}",
         )
-    return v_idx, i_idx, spec.k, record
 
 
-def _attach_ratios(groups: dict, records: list[tuple[tuple, RunRecord]]) -> None:
+def _attach_ratios(by_cell: dict[tuple[int, int], list[RunRecord]]) -> None:
     """Fill optimal/ratio columns from the row of the exact algorithm of
-    the same gap regime and k in the same (sweep value, instance) group,
+    the same gap regime and k in the same (sweep value, instance) cell,
     if that row proved its optimum; a timed-out incumbent is no reference."""
     exact_of = {a.regime: name for name, a in ALGORITHMS.items() if a.exact and a.regime}
-    for key, record in records:
-        v_idx, i_idx, _ = key
-        reference_algo = exact_of.get(ALGORITHMS[record.algo].regime)
-        reference = groups[(v_idx, i_idx)].get((reference_algo, record.k))
-        if reference is None or reference.status != "optimal" or record.crossings is None:
-            continue
-        record.optimal_crossings = reference.crossings
-        if reference.crossings > 0:
-            record.ratio_crossings = record.crossings / reference.crossings
-        elif record.crossings == 0:
-            record.ratio_crossings = 1.0
-        if (
-            record.wall_time_ms is not None
-            and reference.wall_time_ms
-            and reference.wall_time_ms > 0
-        ):
-            record.ratio_time = record.wall_time_ms / reference.wall_time_ms
+    for records in by_cell.values():
+        rows = {(r.algo, r.k): r for r in records}
+        for record in records:
+            reference = rows.get((exact_of.get(ALGORITHMS[record.algo].regime), record.k))
+            if reference is None or reference.status != "optimal" or record.crossings is None:
+                continue
+            record.optimal_crossings = reference.crossings
+            if reference.crossings > 0:
+                record.ratio_crossings = record.crossings / reference.crossings
+            elif record.crossings == 0:
+                record.ratio_crossings = 1.0
+            if (
+                record.wall_time_ms is not None
+                and reference.wall_time_ms
+                and reference.wall_time_ms > 0
+            ):
+                record.ratio_time = record.wall_time_ms / reference.wall_time_ms
 
 
 def run_bench(
@@ -398,33 +373,29 @@ def run_bench(
                 "pass allow_large to accept possible timeouts"
             )
 
-    work = [(v, i, p, s, time_budget_s) for v, i, p, s in cells]
+    work = [(params, spec, time_budget_s) for _, _, params, spec in cells]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_cell, work))
+            records = list(pool.map(_run_cell, work))
     else:
-        raw = [_run_cell(cell) for cell in work]
+        records = [_run_cell(cell) for cell in work]
 
-    groups: dict[tuple[int, int], dict] = {}
-    keyed: list[tuple[tuple, RunRecord]] = []
-    for v_idx, i_idx, k, record in raw:
-        groups.setdefault((v_idx, i_idx), {})[(record.algo, k)] = record
-        keyed.append(((v_idx, i_idx, record.algo), record))
-    if deterministic_times:
-        for _, record in keyed:
-            if record.wall_time_ms is not None:
-                record.wall_time_ms = 0.0
-    _attach_ratios(groups, keyed)
+    by_cell: dict[tuple[int, int], list[RunRecord]] = {}
+    for (v_idx, i_idx, _, _), record in zip(cells, records):
+        by_cell.setdefault((v_idx, i_idx), []).append(record)
+        if deterministic_times and record.wall_time_ms is not None:
+            record.wall_time_ms = 0.0
+    _attach_ratios(by_cell)
 
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_RECORD_COLUMNS)
-        for _, record in keyed:
+        for record in records:
             writer.writerow(record.as_row())
 
-    plot_paths = _write_plots(config, keyed, out_dir)
+    plot_paths = _write_plots(config, by_cell, out_dir)
     return csv_path, plot_paths
 
 
@@ -433,7 +404,7 @@ def _series_stats(values: list[float]) -> tuple[float, float, float]:
 
 
 def _write_plots(
-    config: BenchConfig, keyed: list[tuple[tuple, RunRecord]], out_dir: Path
+    config: BenchConfig, by_cell: dict[tuple[int, int], list[RunRecord]], out_dir: Path
 ) -> list[Path]:
     sweep = config.sweep_param or "run"
     if config.sweep_param is None:
@@ -453,8 +424,10 @@ def _write_plots(
             for v_idx in range(len(x_values)):
                 values = [
                     metric(r)
-                    for (vi, _, algo), r in keyed
-                    if algo == label and vi == v_idx and metric(r) is not None
+                    for (vi, _), records in by_cell.items()
+                    if vi == v_idx
+                    for r in records
+                    if r.algo == label and metric(r) is not None
                 ]
                 if not values:
                     break

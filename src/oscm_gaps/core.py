@@ -306,16 +306,6 @@ def pairwise_crossings(inst: BipartiteInstance) -> CrossingMatrix:
     return CrossingMatrix(ids, rows)
 
 
-def block_crossings(
-    inst: BipartiteInstance, block_a: Sequence[int], block_b: Sequence[int]
-) -> int:
-    """Crossings between edges of block_a and edges of block_b when every
-    node of block_a precedes every node of block_b."""
-    if set(block_a) & set(block_b):
-        raise InputError("blocks overlap")
-    return sum(pair_crossings(inst, u, v) for u in block_a for v in block_b)
-
-
 def count_gaps(inst: BipartiteInstance, pi2: Permutation) -> GapReport:
     _check_top_permutation(inst, pi2)
     kind = inst.top_kind
@@ -370,7 +360,11 @@ def instance_from_json(text: str) -> BipartiteInstance:
         pi1 = [int(v) for v in payload["pi1"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid instance JSON: {exc}") from None
-    return BipartiteInstance.build(bottom, top, edges, pi1)
+    inst = BipartiteInstance.build(bottom, top, edges, pi1)
+    violations = validate_instance(inst)
+    if violations:
+        raise InputError(f"invalid instance: {'; '.join(violations)}")
+    return inst
 
 
 def load_instance(path: str) -> BipartiteInstance:

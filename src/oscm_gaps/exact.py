@@ -34,18 +34,24 @@ ORACLE_NODE_LIMIT = 9
 class OrderingModel:
     """Linear ordering model over the top nodes of one instance.
 
-    `cost[i][j]` is the crossing count with node i before node j,
-    `fixed_pairs` lists consecutive canonical-dummy index pairs whose
-    order is forced, and `gap_budget` (k-1) bounds the number of those
-    pairs a real node may separate. `degrees` only steers branching.
+    `cost[i][j]` is the crossing count with node i before node j, `chain`
+    lists the canonical dummy order as node indices (every dummy in a
+    k-gap model, empty in the base model), and `gap_budget` (k-1) bounds
+    the number of consecutive chain pairs a real node may separate.
+    `degrees` only steers branching.
     """
 
     ids: tuple[int, ...]
     kinds: tuple[Kind, ...]
     cost: tuple[tuple[int, ...], ...]
-    fixed_pairs: tuple[tuple[int, int], ...]
+    chain: tuple[int, ...]
     gap_budget: int | None
     degrees: tuple[int, ...]
+
+    @property
+    def fixed_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Consecutive chain pairs, whose order is forced."""
+        return tuple(zip(self.chain, self.chain[1:]))
 
 
 @dataclass(frozen=True)
@@ -86,18 +92,12 @@ def build_kgap_model(inst: BipartiteInstance, k: int) -> OrderingModel:
 def _build(inst: BipartiteInstance, fixed: bool, gap_budget: int | None) -> OrderingModel:
     ids = inst.top_ids
     index = {v: i for i, v in enumerate(ids)}
-    matrix = pairwise_crossings(inst)
-    fixed_pairs: tuple[tuple[int, int], ...] = ()
-    if fixed:
-        chain = canonical_dummy_order(inst).order.order
-        fixed_pairs = tuple(
-            (index[chain[t]], index[chain[t + 1]]) for t in range(len(chain) - 1)
-        )
+    chain = canonical_dummy_order(inst).order.order if fixed else ()
     return OrderingModel(
         ids=ids,
         kinds=tuple(inst.top_kind[v] for v in ids),
-        cost=matrix.rows,
-        fixed_pairs=fixed_pairs,
+        cost=pairwise_crossings(inst).rows,
+        chain=tuple(index[d] for d in chain),
         gap_budget=gap_budget,
         degrees=tuple(inst.degree(v) for v in ids),
     )
@@ -308,12 +308,8 @@ def solve_branch_and_bound(
 
     cost = [list(row) for row in model.cost]
     index = {v: i for i, v in enumerate(model.ids)}
-    is_dummy = [kind == "dummy" for kind in model.kinds]
-    n_dummies = sum(is_dummy)
-
-    chain: list[int] = []
-    if model.fixed_pairs:
-        chain = [model.fixed_pairs[0][0]] + [j for _, j in model.fixed_pairs]
+    chain = model.chain
+    n_chain = len(chain)
     in_chain = [False] * p
     for u in chain:
         in_chain[u] = True
@@ -327,11 +323,11 @@ def solve_branch_and_bound(
         for i, j in model.fixed_pairs:
             if pos[ids[i]] >= pos[ids[j]]:
                 return False
-        if gap_tracked and n_dummies:
+        if gap_tracked and chain:
             runs = 0
             last = False
             for v in perm.order:
-                d = is_dummy[index[v]]
+                d = in_chain[index[v]]
                 if d and not last:
                     runs += 1
                 last = d
@@ -365,7 +361,7 @@ def solve_branch_and_bound(
     nodes = 0
     deadline = start + time_budget_s
 
-    def dfs(acc: int, gaps: int, last_dummy: bool, dummies_left: int, chain_placed: int, mask: int) -> None:
+    def dfs(acc: int, gaps: int, last_dummy: bool, chain_placed: int, mask: int) -> None:
         nonlocal best_obj, best_order, sum_add, rem_min, nodes
         nodes += 1
         if nodes & 1023 == 0 and perf_counter() > deadline:
@@ -385,21 +381,21 @@ def solve_branch_and_bound(
         if prev is not None or len(memo) < _MEMO_CAP:
             memo[key] = acc
 
-        next_chain = chain[chain_placed] if chain_placed < len(chain) else -1
+        next_chain = chain[chain_placed] if chain_placed < n_chain else -1
         for u in static_order:
             if placed[u]:
                 continue
-            if in_chain[u] and u != next_chain:
+            u_chain = in_chain[u]
+            if u_chain and u != next_chain:
                 continue
-            udummy = is_dummy[u]
             if gap_tracked:
-                if udummy:
+                if u_chain:
                     g2 = gaps if last_dummy else gaps + 1
                     if g2 > kmax:
                         continue
                     ld2 = True
                 else:
-                    if dummies_left and gaps >= kmax:
+                    if chain_placed < n_chain and gaps >= kmax:
                         continue  # a later dummy would need one gap too many
                     g2, ld2 = gaps, False
             else:
@@ -417,14 +413,7 @@ def solve_branch_and_bound(
                     add[v] += cu[v]
                     sum_add += cu[v]
                     rem_min -= mu[v]
-            dfs(
-                acc2,
-                g2,
-                ld2,
-                dummies_left - (1 if udummy else 0),
-                chain_placed + (1 if in_chain[u] else 0),
-                mask | (1 << u),
-            )
+            dfs(acc2, g2, ld2, chain_placed + (1 if u_chain else 0), mask | (1 << u))
             for v in range(p):
                 if not placed[v]:
                     add[v] -= cu[v]
@@ -434,7 +423,7 @@ def solve_branch_and_bound(
 
     status: Literal["optimal", "timeout_incumbent"]
     try:
-        dfs(0, 0, False, n_dummies, 0, 0)
+        dfs(0, 0, False, 0, 0)
         status = "optimal"
     except _Timeout:
         status = "timeout_incumbent"

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
-from .core import (
-    BipartiteInstance,
-    InputError,
-    Permutation,
-    concatenate,
-    count_crossings,
-    restrict_top,
-)
+from .core import BipartiteInstance, InputError, Permutation, concatenate
 from .heuristics import HeuristicKind, heuristic_order
 
 
@@ -222,13 +215,3 @@ def solve_kgaps(
     real_order = heuristic_order(inst, inst.real_top_ids, base)
     permutation, _ = k_gap_merge(inst, real_order, k)
     return permutation
-
-
-def mixed_crossings(inst: BipartiteInstance, pi2: Permutation) -> int:
-    """Crossings between real-incident and dummy-incident edge pairs;
-    the quantity the k-gap merge minimizes."""
-    total = count_crossings(inst, pi2)
-    reals, dummies = inst.real_top_ids, inst.dummy_top_ids
-    real_part = count_crossings(restrict_top(inst, reals), pi2.induced(reals))
-    dummy_part = count_crossings(restrict_top(inst, dummies), pi2.induced(dummies))
-    return total - real_part - dummy_part

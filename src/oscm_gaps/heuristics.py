@@ -7,70 +7,41 @@ degree-1 nodes never changes the relative order of the remaining nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .core import BipartiteInstance, InputError, Permutation, restrict_top
+from .core import BipartiteInstance, InputError, Permutation
 
 HeuristicKind = Literal["median", "barycenter"]
 
 HEURISTIC_KINDS: tuple[HeuristicKind, ...] = ("median", "barycenter")
 
 
-@dataclass(frozen=True)
-class KeyedNode:
-    id: int
-    key: Fraction | int
-    degree_parity: Literal["odd", "even"]
-
-    @property
-    def sort_key(self) -> tuple[Fraction | int, int, int]:
-        # odd-degree nodes win ties against even-degree ones, then by id;
-        # the tie rule matters for keeping crossing-free instances at zero.
-        return (self.key, 0 if self.degree_parity == "odd" else 1, self.id)
-
-
-def heuristic_keys(
-    inst: BipartiteInstance, subset: Iterable[int], kind: HeuristicKind
-) -> list[KeyedNode]:
-    """Per-node sort keys: left median or exact-rational barycenter of the
-    neighbor positions. Degree-0 nodes get key -1 (leftmost)."""
+def heuristic_key(
+    inst: BipartiteInstance, v: int, kind: HeuristicKind
+) -> tuple[Fraction | int, int, int]:
+    """Sort key of top node `v`: the left median or exact-rational
+    barycenter of its neighbor positions (-1, leftmost, at degree 0),
+    then 0 for odd and 1 for even degree, then the id. Odd-degree nodes
+    win ties; the tie rule keeps crossing-free instances at zero."""
     if kind not in HEURISTIC_KINDS:
         raise InputError(f"unknown heuristic kind: {kind!r}")
-    known = set(inst.top_ids)
-    keyed: list[KeyedNode] = []
-    for v in subset:
-        if v not in known:
-            raise InputError(f"unknown top id {v}")
-        positions = inst.neighbor_positions[v]
-        deg = len(positions)
-        key: Fraction | int
-        if deg == 0:
-            key = -1
-        elif kind == "median":
-            key = positions[(deg - 1) // 2]
-        else:
-            key = Fraction(sum(positions), deg)
-        keyed.append(KeyedNode(v, key, "odd" if deg % 2 else "even"))
-    return keyed
+    positions = inst.neighbor_positions.get(v)
+    if positions is None:
+        raise InputError(f"unknown top id {v}")
+    deg = len(positions)
+    key: Fraction | int
+    if deg == 0:
+        key = -1
+    elif kind == "median":
+        key = positions[(deg - 1) // 2]
+    else:
+        key = Fraction(sum(positions), deg)
+    return key, 0 if deg % 2 else 1, v
 
 
 def heuristic_order(
     inst: BipartiteInstance, subset: Iterable[int], kind: HeuristicKind
 ) -> Permutation:
-    """Order `subset` ascending by heuristic key (deterministic ties)."""
-    keyed = sorted(heuristic_keys(inst, subset, kind), key=lambda kn: kn.sort_key)
-    return Permutation(tuple(kn.id for kn in keyed))
-
-
-def is_dummy_independent_witness(inst: BipartiteInstance, kind: HeuristicKind) -> bool:
-    """Check one instance of the dummy-independence property: ordering the
-    real nodes alone matches the real order induced by ordering everything.
-
-    A randomized spot check for tests, not a proof.
-    """
-    reals = inst.real_top_ids
-    alone = heuristic_order(restrict_top(inst, reals), reals, kind)
-    full = heuristic_order(inst, inst.top_ids, kind)
-    return alone.order == full.induced(reals).order
+    """Order `subset` ascending by `heuristic_key` (deterministic ties)."""
+    return Permutation(tuple(sorted(subset, key=lambda v: heuristic_key(inst, v, kind))))

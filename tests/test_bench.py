@@ -203,9 +203,9 @@ class TestRunBench:
     def test_default_config_is_the_reference_protocol(self):
         config = BenchConfig.default()
         assert config.instances == 20
-        assert config.base_params["n"] == 40
-        assert float(str(config.base_params["f_dm"])) == 0.2
-        assert config.base_params["deg_avg"] == 3
+        assert config.base.n == 40
+        assert float(config.base.f_dm) == 0.2
+        assert config.base.deg_avg == 3
 
     def test_default_config_runs_end_to_end(self, tmp_path):
         csv_path, _ = run_bench(BenchConfig.default(), tmp_path)

@@ -112,16 +112,46 @@ class TestSolve:
         assert list(algo.type.choices) == list(ALGORITHMS)
 
     @pytest.mark.parametrize(
-        "top_kinds, f_dm", [("rr", "0"), ("dd", "1")], ids=["edgeless_reals", "no_reals"]
+        "kinds, f_dm", [("rr", "0"), ("dd", "1")], ids=["edgeless_reals", "no_reals"]
     )
-    def test_record_reports_measured_degree(self, runner, tmp_path, top_kinds, f_dm):
+    def test_record_reports_measured_degree(self, runner, tmp_path, kinds, f_dm):
+        # edgeless dummies are valid only when no real node exists to attach
+        # to, so the no-real case has dummies in both layers
         inst_path = tmp_path / "inst.json"
-        save_instance(mk_instance("rr", top_kinds, []), str(inst_path))
+        save_instance(mk_instance(kinds, kinds, []), str(inst_path))
         result = invoke(runner, "solve", inst_path, "--algo", "median_kgaps", "--k", 1,
                         "--out", tmp_path / "p.json")
         assert result.exit_code == 0, result.output
         row = result.output.strip().splitlines()[-1].split(",")
         assert row[:5] == ["inst", "0", "2", f_dm, "0"]
+
+
+    VALID = {
+        "bottom": [{"id": 0, "kind": "real"}, {"id": 1, "kind": "real"}],
+        "top": [{"id": 2, "kind": "real"}, {"id": 3, "kind": "dummy"}],
+        "edges": [[0, 2], [1, 3]],
+        "pi1": [0, 1],
+    }
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"edges": [[0, 2], [1, 3], [1, 9]]}, "edge not bipartite: (1, 9)"),
+            ({"pi1": [0]}, "pi1 is not a permutation"),
+            ({"top": [{"id": 2, "kind": "real"}, {"id": 1, "kind": "dummy"}],
+              "edges": [[0, 2], [0, 1]]}, "duplicate node id 1"),
+            ({"edges": [[0, 2], [0, 3], [1, 3]]}, "top node 3 has degree 2"),
+        ],
+        ids=["unknown_edge_id", "pi1_short", "duplicate_id", "dummy_two_edges"],
+    )
+    def test_malformed_instance_exit_2(self, runner, tmp_path, change, message):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({**self.VALID, **change}))
+        result = invoke(runner, "solve", inst_path, "--algo", "exact_kgaps", "--k", 1,
+                        "--out", tmp_path / "p.json")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestOracleCommand:
@@ -201,10 +231,13 @@ class TestBenchCommand:
             ),
             ({**SMALL, "sweep_param": "k", "values": [2, 0]}, "k must be >= 1, got 0"),
             ({**SMALL, "algos": "median_sidegaps"}, "algos must be a list"),
+            ({**SMALL, "sweep": "n"}, "unknown bench config key 'sweep'"),
+            ({**SMALL, "base_params": {"n_nodes": 16}}, "unknown base_params key 'n_nodes'"),
         ],
         ids=[
             "list_config", "instances_text", "seed_text", "n_text", "k_text",
-            "algo_number", "k_fraction", "k_zero", "algos_string",
+            "algo_number", "k_fraction", "k_zero", "algos_string", "unknown_key",
+            "unknown_base_key",
         ],
     )
     def test_malformed_config_exit_2(self, runner, tmp_path, config, message):

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from conftest import gen, instances, mk_instance
 from oracles import best_by_enumeration, naive_crossings
 
-from oscm_gaps.core import InputError
-from oscm_gaps.heuristics import (
-    heuristic_keys,
-    heuristic_order,
-    is_dummy_independent_witness,
-)
+from oscm_gaps.core import InputError, restrict_top
+from oscm_gaps.heuristics import heuristic_key, heuristic_order
 
 
-def keyed_by_id(inst, subset, kind):
-    return {kn.id: kn for kn in heuristic_keys(inst, subset, kind)}
+def is_dummy_independent_witness(inst, kind) -> bool:
+    """One instance of the dummy-independence property: ordering the real
+    nodes alone matches the real order induced by ordering everything."""
+    reals = inst.real_top_ids
+    alone = heuristic_order(restrict_top(inst, reals), reals, kind)
+    full = heuristic_order(inst, inst.top_ids, kind)
+    return alone.order == full.induced(reals).order
 
 
 class TestKeys:
@@ -28,16 +29,12 @@ class TestKeys:
             "rr",
             [(1, 100), (3, 100), (4, 100), (2, 101), (5, 101)],
         )
-        keys = keyed_by_id(inst, inst.top_ids, "median")
-        assert keys[100].key == 3
-        assert keys[100].degree_parity == "odd"
-        assert keys[101].key == 2
-        assert keys[101].degree_parity == "even"
+        assert heuristic_key(inst, 100, "median") == (3, 0, 100)  # odd degree
+        assert heuristic_key(inst, 101, "median") == (2, 1, 101)  # even degree
 
     def test_barycenter_mean(self):
         inst = mk_instance("rrrr", "r", [(0, 100), (1, 100), (2, 100), (3, 100)])
-        keys = keyed_by_id(inst, inst.top_ids, "barycenter")
-        assert keys[100].key == Fraction(3, 2)
+        assert heuristic_key(inst, 100, "barycenter")[0] == Fraction(3, 2)
 
     def test_degree_zero_goes_leftmost(self):
         inst = mk_instance("rr", "rr", [(0, 101), (1, 101)])

@@ -1,10 +1,15 @@
-"""The README's library example runs against the package root, so the
-documented surface and `oscm_gaps.__init__` cannot drift apart."""
+"""The README's library example runs against the package root and its
+bench-config example parses, so the documented surface and the code
+cannot drift apart."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
+
+from oscm_gaps import GenParams
+from oscm_gaps.bench import BenchConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +24,11 @@ def test_library_use_example_runs(capsys):
     status, objective = exact.split()
     assert status == "optimal"
     assert int(objective) <= crossings
+
+
+def test_bench_config_example_parses():
+    section = README.read_text(encoding="utf-8").split("### Bench configuration", 1)[1]
+    text = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    config = BenchConfig.from_json(text)
+    assert config.base == GenParams(**json.loads(text)["base_params"])
+    assert len(config.cells()) == len(config.values) * config.instances * len(config.algos)
