@@ -51,7 +51,7 @@ def main() -> int:
         csv_path, plots = run_bench(
             config, args.out, jobs=args.jobs, time_budget_s=args.time_budget_s
         )
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {csv_path}")

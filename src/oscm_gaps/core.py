@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Literal, Sequence
 
 Kind = Literal["real", "dummy"]
@@ -120,7 +122,11 @@ class BipartiteInstance:
             raise InputError("duplicate edges")
         if pi1_order is None:
             pi1_order = [v.id for v in bottom]
-        return cls(bottom, top, edge_set, Permutation(tuple(pi1_order)))
+        inst = cls(bottom, top, edge_set, Permutation(tuple(pi1_order)))
+        violations = validate_instance(inst)
+        if violations:
+            raise InputError(f"invalid instance: {'; '.join(violations)}")
+        return inst
 
     # -- derived lookups (instances are immutable, so caching is safe) --
 
@@ -210,17 +216,12 @@ def validate_instance(inst: BipartiteInstance) -> list[str]:
 
     bottom_ids = set(v.id for v in inst.bottom)
     top_ids = set(v.id for v in inst.top)
-    for b, t in sorted(inst.edges):
-        if b not in bottom_ids or t not in top_ids:
-            violations.append(f"edge not bipartite: ({b}, {t})")
+    stray = [(b, t) for b, t in inst.edges if b not in bottom_ids or t not in top_ids]
+    for b, t in sorted(stray):
+        violations.append(f"edge not bipartite: ({b}, {t})")
 
-    bdeg = {v.id: 0 for v in inst.bottom}
-    tdeg = {v.id: 0 for v in inst.top}
-    for b, t in inst.edges:
-        if b in bdeg:
-            bdeg[b] += 1
-        if t in tdeg:
-            tdeg[t] += 1
+    bdeg = Counter(b for b, _ in inst.edges)
+    tdeg = Counter(t for _, t in inst.edges)
     # Degree-0 dummies are tolerated only in the degenerate case where the
     # opposite layer has no real node to attach to (all-dummy instances).
     top_has_real = any(v.kind == "real" for v in inst.top)
@@ -273,16 +274,6 @@ def count_crossings(inst: BipartiteInstance, pi2: Permutation) -> int:
     return crossings
 
 
-def pair_crossings(inst: BipartiteInstance, u: int, v: int) -> int:
-    """Crossings between edges of u and edges of v when u precedes v."""
-    if u == v:
-        return 0
-    pos_u = inst.neighbor_positions[u]
-    pos_v = inst.neighbor_positions[v]
-    # pairs (a in N(u), b in N(v)) with b strictly left of a
-    return sum(bisect_left(pos_v, a) for a in pos_u)
-
-
 @dataclass(frozen=True)
 class CrossingMatrix:
     """Dense pairwise crossing counts c[u][v] for ordered top pairs."""
@@ -299,11 +290,23 @@ class CrossingMatrix:
 
 
 def pairwise_crossings(inst: BipartiteInstance) -> CrossingMatrix:
+    """c[u][v]: crossings between edges of u and edges of v when u
+    precedes v. Each unordered pair is counted once: c[u][v] counts the
+    neighbor pairs (a in N(u), b in N(v)) with b strictly left of a, and
+    since a node's neighbor positions are distinct, the pairs left are the
+    |N(u) & N(v)| shared neighbors and the c[v][u] pairs with a left of b."""
     ids = inst.top_ids
-    rows = tuple(
-        tuple(0 if u == v else pair_crossings(inst, u, v) for v in ids) for u in ids
-    )
-    return CrossingMatrix(ids, rows)
+    positions = [inst.neighbor_positions[v] for v in ids]
+    rows = [[0] * len(ids) for _ in ids]
+    for i, pos_u in enumerate(positions):
+        shared = set(pos_u).intersection
+        row_u = rows[i]
+        for j in range(i + 1, len(ids)):
+            pos_v = positions[j]
+            c_uv = sum(map(bisect_left, repeat(pos_v), pos_u))
+            row_u[j] = c_uv
+            rows[j][i] = len(pos_u) * len(pos_v) - c_uv - len(shared(pos_v))
+    return CrossingMatrix(ids, tuple(map(tuple, rows)))
 
 
 def count_gaps(inst: BipartiteInstance, pi2: Permutation) -> GapReport:
@@ -360,11 +363,7 @@ def instance_from_json(text: str) -> BipartiteInstance:
         pi1 = [int(v) for v in payload["pi1"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid instance JSON: {exc}") from None
-    inst = BipartiteInstance.build(bottom, top, edges, pi1)
-    violations = validate_instance(inst)
-    if violations:
-        raise InputError(f"invalid instance: {'; '.join(violations)}")
-    return inst
+    return BipartiteInstance.build(bottom, top, edges, pi1)
 
 
 def load_instance(path: str) -> BipartiteInstance:

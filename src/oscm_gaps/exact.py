@@ -11,7 +11,7 @@ holds implicitly in every explored state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Literal
 
@@ -273,6 +273,9 @@ def objective_value(model: OrderingModel, permutation: Permutation) -> int:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of one exact solve. For the instance-level pipelines
+    `wall_time_s` covers model build, incumbent and search."""
+
     status: Literal["optimal", "timeout_incumbent", "infeasible"]
     permutation: Permutation | None
     objective: int | None
@@ -295,18 +298,21 @@ def solve_branch_and_bound(
     """Depth-first search over permutation prefixes with incremental cost.
 
     The bound at a prefix is the cost among placed pairs, plus the forced
-    cost of placed-vs-unplaced pairs, plus min(c_ij, c_ji) over unplaced
-    pairs. The fixed dummy chain restricts which dummy may come next, and
-    the gap budget prunes placements that would exceed k runs. A memo of
+    cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
+    pairs. Placing u next adds `extra[u][v] = c_uv - min(c_uv, c_vu)` for
+    each unplaced v, so each child's bound is tested in its parent as the
+    parent's bound plus that sum, before any state is built for it. The
+    fixed dummy chain restricts which dummy may come next, and the gap
+    budget prunes placements that would exceed k runs. A memo of
     best-known prefix cost per (placed set, gap state) removes dominated
-    revisits.
+    revisits. `nodes_explored` counts bound tests, the root's included.
     """
     start = perf_counter()
     p = len(model.ids)
     if p == 0:
         return SolveResult("optimal", Permutation(()), 0, perf_counter() - start, 0)
 
-    cost = [list(row) for row in model.cost]
+    cost = model.cost
     index = {v: i for i, v in enumerate(model.ids)}
     chain = model.chain
     n_chain = len(chain)
@@ -349,42 +355,25 @@ def solve_branch_and_bound(
         perm = Permutation(tuple(model.ids[u] for u in best_order)) if best_order else None
         return SolveResult("timeout_incumbent", perm, best_obj, perf_counter() - start, 0)
 
-    minp = [[min(cost[i][j], cost[j][i]) for j in range(p)] for i in range(p)]
+    extra = [
+        [c - min(c, cost[v][u]) for v, c in enumerate(row)] for u, row in enumerate(cost)
+    ]
+    extra_at = [row.__getitem__ for row in extra]
     static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
 
-    placed = [False] * p
     prefix: list[int] = []
-    add = [0] * p  # forced cost of each unplaced node against the prefix
-    sum_add = 0
-    rem_min = sum(minp[i][j] for i in range(p) for j in range(i + 1, p))
-    memo: dict[tuple[int, int, bool], int] = {}
-    nodes = 0
+    memo: dict[tuple[int, int, bool], int] = {(0, 0, False): 0}
+    nodes = 1  # the root's bound test
     deadline = start + time_budget_s
 
-    def dfs(acc: int, gaps: int, last_dummy: bool, chain_placed: int, mask: int) -> None:
-        nonlocal best_obj, best_order, sum_add, rem_min, nodes
-        nodes += 1
-        if nodes & 1023 == 0 and perf_counter() > deadline:
-            raise _Timeout
-        depth = len(prefix)
-        if depth == p:
-            if best_obj is None or acc < best_obj:
-                best_obj = acc
-                best_order = prefix.copy()
-            return
-        if best_obj is not None and acc + sum_add + rem_min >= best_obj:
-            return
-        key = (mask, gaps, last_dummy)
-        prev = memo.get(key)
-        if prev is not None and prev <= acc:
-            return
-        if prev is not None or len(memo) < _MEMO_CAP:
-            memo[key] = acc
-
+    def dfs(acc, bound, gaps, last_dummy, chain_placed, mask, unplaced, add) -> None:
+        """Visit the children of a node: its prefix costs `acc`, and its
+        `unplaced` nodes, in branching order, have forced costs `add`
+        against the prefix."""
+        nonlocal best_obj, best_order, nodes
+        leaf = len(unplaced) == 1
         next_chain = chain[chain_placed] if chain_placed < n_chain else -1
-        for u in static_order:
-            if placed[u]:
-                continue
+        for i, u in enumerate(unplaced):
             u_chain = in_chain[u]
             if u_chain and u != next_chain:
                 continue
@@ -401,32 +390,39 @@ def solve_branch_and_bound(
             else:
                 g2, ld2 = 0, False
 
-            prefix.append(u)
-            placed[u] = True
+            nodes += 1
+            if nodes & 1023 == 0 and perf_counter() > deadline:
+                raise _Timeout
+            child_bound = bound + sum(map(extra_at[u], unplaced))
+            if leaf:
+                # a full permutation's bound is its cost, and its parent's
+                # equal bound passed the test against the incumbent
+                best_obj, best_order = child_bound, prefix + [u]
+                continue
+            if best_obj is not None and child_bound >= best_obj:
+                continue
             acc2 = acc + add[u]
-            saved_sum, saved_rem = sum_add, rem_min
-            sum_add -= add[u]
-            cu = cost[u]
-            mu = minp[u]
-            for v in range(p):
-                if not placed[v]:
-                    add[v] += cu[v]
-                    sum_add += cu[v]
-                    rem_min -= mu[v]
-            dfs(acc2, g2, ld2, chain_placed + (1 if u_chain else 0), mask | (1 << u))
-            for v in range(p):
-                if not placed[v]:
-                    add[v] -= cu[v]
-            sum_add, rem_min = saved_sum, saved_rem
-            placed[u] = False
+            mask2 = mask | (1 << u)
+            key = (mask2, g2, ld2)
+            prev = memo.get(key)
+            if prev is not None and prev <= acc2:
+                continue
+            if prev is not None or len(memo) < _MEMO_CAP:
+                memo[key] = acc2
+
+            rest = unplaced[:i] + unplaced[i + 1 :]
+            forced = [a + c for a, c in zip(add, cost[u])]
+            prefix.append(u)
+            dfs(acc2, child_bound, g2, ld2, chain_placed + u_chain, mask2, rest, forced)
             prefix.pop()
 
-    status: Literal["optimal", "timeout_incumbent"]
-    try:
-        dfs(0, 0, False, 0, 0)
-        status = "optimal"
-    except _Timeout:
-        status = "timeout_incumbent"
+    status: Literal["optimal", "timeout_incumbent"] = "optimal"
+    root_bound = sum(min(cost[i][j], cost[j][i]) for i in range(p) for j in range(i + 1, p))
+    if best_obj is None or root_bound < best_obj:
+        try:
+            dfs(0, root_bound, 0, False, 0, 0, static_order, [0] * p)
+        except _Timeout:
+            status = "timeout_incumbent"
 
     perm = None
     if best_order is not None:
@@ -540,18 +536,22 @@ def solve_unrestricted_exact(
     inst: BipartiteInstance, time_budget_s: float = 300.0
 ) -> SolveResult:
     """Exact optimum over all top permutations (no gap constraint)."""
+    start = perf_counter()
     model = build_base_oscm_model(inst)
     initial = heuristic_order(inst, inst.top_ids, "median")
-    return solve_branch_and_bound(model, time_budget_s, initial=initial)
+    result = solve_branch_and_bound(model, time_budget_s, initial=initial)
+    return replace(result, wall_time_s=perf_counter() - start)
 
 
 def solve_kgap_exact(
     inst: BipartiteInstance, k: int, time_budget_s: float = 300.0
 ) -> SolveResult:
     """Exact optimum over permutations with at most k gaps."""
+    start = perf_counter()
     model = build_kgap_model(inst, k)
     initial = solve_kgaps(inst, "median", k)
-    return solve_branch_and_bound(model, time_budget_s, initial=initial)
+    result = solve_branch_and_bound(model, time_budget_s, initial=initial)
+    return replace(result, wall_time_s=perf_counter() - start)
 
 
 def solve_sidegap_exact(

@@ -8,8 +8,11 @@ library code paths it checks.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations
+from time import perf_counter
+from typing import Literal
 
-from oscm_gaps.core import BipartiteInstance, Permutation
+from oscm_gaps.core import BipartiteInstance, InputError, Permutation
+from oscm_gaps.exact import _MEMO_CAP, OrderingModel, SolveResult, _Timeout, objective_value
 
 
 def naive_crossings(inst: BipartiteInstance, pi2: Permutation) -> int:
@@ -225,3 +228,147 @@ def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: i
         if b < n_real:
             merged.append(reals[b])
     return Permutation(tuple(merged)), dp[k][n_real][n_dummy]
+
+
+def reference_branch_and_bound(
+    model: OrderingModel,
+    time_budget_s: float = 300.0,
+    initial: Permutation | None = None,
+) -> SolveResult:
+    """The branch and bound as it was before child bounds were tested in
+    the parent: each child updates the forced costs, the summed forced
+    cost and the remaining pair minima of every unplaced node before its
+    own bound test, and undoes them after. Kept as the reference for the
+    library's search, which must give the same status, permutation,
+    objective and node count."""
+    start = perf_counter()
+    p = len(model.ids)
+    if p == 0:
+        return SolveResult("optimal", Permutation(()), 0, perf_counter() - start, 0)
+
+    cost = [list(row) for row in model.cost]
+    index = {v: i for i, v in enumerate(model.ids)}
+    chain = model.chain
+    n_chain = len(chain)
+    in_chain = [False] * p
+    for u in chain:
+        in_chain[u] = True
+
+    gap_tracked = model.gap_budget is not None
+    kmax = (model.gap_budget + 1) if gap_tracked else 0
+
+    def feasible(perm: Permutation) -> bool:
+        pos = perm.position
+        ids = model.ids
+        for i, j in model.fixed_pairs:
+            if pos[ids[i]] >= pos[ids[j]]:
+                return False
+        if gap_tracked and chain:
+            runs = 0
+            last = False
+            for v in perm.order:
+                d = in_chain[index[v]]
+                if d and not last:
+                    runs += 1
+                last = d
+            if runs > kmax:
+                return False
+        return True
+
+    best_obj: int | None = None
+    best_order: list[int] | None = None
+    if initial is not None:
+        if set(initial.order) != set(model.ids):
+            raise InputError("initial incumbent does not cover the model's nodes")
+        if not feasible(initial):
+            raise InputError("initial incumbent violates the model's constraints")
+        best_order = [index[v] for v in initial.order]
+        best_obj = objective_value(model, initial)
+
+    if time_budget_s <= 0:
+        perm = Permutation(tuple(model.ids[u] for u in best_order)) if best_order else None
+        return SolveResult("timeout_incumbent", perm, best_obj, perf_counter() - start, 0)
+
+    minp = [[min(cost[i][j], cost[j][i]) for j in range(p)] for i in range(p)]
+    static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
+
+    placed = [False] * p
+    prefix: list[int] = []
+    add = [0] * p  # forced cost of each unplaced node against the prefix
+    sum_add = 0
+    rem_min = sum(minp[i][j] for i in range(p) for j in range(i + 1, p))
+    memo: dict[tuple[int, int, bool], int] = {}
+    nodes = 0
+    deadline = start + time_budget_s
+
+    def dfs(acc: int, gaps: int, last_dummy: bool, chain_placed: int, mask: int) -> None:
+        nonlocal best_obj, best_order, sum_add, rem_min, nodes
+        nodes += 1
+        if nodes & 1023 == 0 and perf_counter() > deadline:
+            raise _Timeout
+        depth = len(prefix)
+        if depth == p:
+            if best_obj is None or acc < best_obj:
+                best_obj = acc
+                best_order = prefix.copy()
+            return
+        if best_obj is not None and acc + sum_add + rem_min >= best_obj:
+            return
+        key = (mask, gaps, last_dummy)
+        prev = memo.get(key)
+        if prev is not None and prev <= acc:
+            return
+        if prev is not None or len(memo) < _MEMO_CAP:
+            memo[key] = acc
+
+        next_chain = chain[chain_placed] if chain_placed < n_chain else -1
+        for u in static_order:
+            if placed[u]:
+                continue
+            u_chain = in_chain[u]
+            if u_chain and u != next_chain:
+                continue
+            if gap_tracked:
+                if u_chain:
+                    g2 = gaps if last_dummy else gaps + 1
+                    if g2 > kmax:
+                        continue
+                    ld2 = True
+                else:
+                    if chain_placed < n_chain and gaps >= kmax:
+                        continue  # a later dummy would need one gap too many
+                    g2, ld2 = gaps, False
+            else:
+                g2, ld2 = 0, False
+
+            prefix.append(u)
+            placed[u] = True
+            acc2 = acc + add[u]
+            saved_sum, saved_rem = sum_add, rem_min
+            sum_add -= add[u]
+            cu = cost[u]
+            mu = minp[u]
+            for v in range(p):
+                if not placed[v]:
+                    add[v] += cu[v]
+                    sum_add += cu[v]
+                    rem_min -= mu[v]
+            dfs(acc2, g2, ld2, chain_placed + (1 if u_chain else 0), mask | (1 << u))
+            for v in range(p):
+                if not placed[v]:
+                    add[v] -= cu[v]
+            sum_add, rem_min = saved_sum, saved_rem
+            placed[u] = False
+            prefix.pop()
+
+    status: Literal["optimal", "timeout_incumbent"]
+    try:
+        dfs(0, 0, False, 0, 0)
+        status = "optimal"
+    except _Timeout:
+        status = "timeout_incumbent"
+
+    perm = None
+    if best_order is not None:
+        perm = Permutation(tuple(model.ids[u] for u in best_order))
+    return SolveResult(status, perm, best_obj, perf_counter() - start, nodes)

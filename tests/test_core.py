@@ -10,7 +10,9 @@ from conftest import gen, instances, mk_instance
 from oracles import naive_block_crossings, naive_crossings, naive_pair_crossings
 
 from oscm_gaps.core import (
+    BipartiteInstance,
     InputError,
+    Node,
     Permutation,
     concatenate,
     count_crossings,
@@ -32,16 +34,16 @@ class TestValidate:
         assert validate_instance(inst) == []
 
     def test_dummy_degree_two(self):
-        inst = mk_instance("rr", "rd", [(0, 101), (1, 101)])
-        assert any("dummy degree != 1" in v for v in validate_instance(inst))
+        with pytest.raises(InputError, match="dummy degree != 1: top node 101 has degree 2"):
+            mk_instance("rr", "rd", [(0, 101), (1, 101)])
 
     def test_dummy_degree_zero(self):
-        inst = mk_instance("rr", "rd", [(0, 100)])
-        assert any("dummy degree != 1" in v for v in validate_instance(inst))
+        with pytest.raises(InputError, match="dummy degree != 1: top node 101 has degree 0"):
+            mk_instance("rr", "rd", [(0, 100)])
 
     def test_edge_not_bipartite(self):
-        inst = mk_instance("rr", "rr", [(0, 1)])
-        assert any("not bipartite" in v for v in validate_instance(inst))
+        with pytest.raises(InputError, match=r"edge not bipartite: \(0, 1\)"):
+            mk_instance("rr", "rr", [(0, 1)])
 
     def test_all_dummy_layers_are_valid(self):
         # no real node exists to attach to, so edgeless dummies pass
@@ -49,8 +51,22 @@ class TestValidate:
         assert validate_instance(inst) == []
 
     def test_bad_pi1(self):
-        inst = mk_instance("rr", "r", [(0, 100)], pi1=[0])
-        assert any("pi1" in v for v in validate_instance(inst))
+        with pytest.raises(InputError, match="pi1 is not a permutation of the bottom layer"):
+            mk_instance("rr", "r", [(0, 100)], pi1=[0])
+
+    def test_build_refuses_top_dummy_with_two_edges(self):
+        # Built unchecked, this instance made the exact k=1 solver report
+        # "optimal" at 2 crossings, where enumeration finds 1.
+        edges = [(0, 105), (1, 100), (1, 104), (1, 105), (2, 100), (2, 103)]
+        with pytest.raises(InputError, match="top node 105 has degree 2"):
+            mk_instance("rrrr", "rrrddd", edges)
+        raw = BipartiteInstance(
+            tuple(Node(i, "bottom", "real") for i in range(4)),
+            tuple(Node(100 + i, "top", "real" if i < 3 else "dummy") for i in range(6)),
+            frozenset(edges),
+            Permutation((0, 1, 2, 3)),
+        )
+        assert validate_instance(raw) == ["dummy degree != 1: top node 105 has degree 2"]
 
     @given(instances())
     @settings(max_examples=50)

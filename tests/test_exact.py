@@ -1,9 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import time
 
-from conftest import gen, mk_instance
-from oracles import best_by_enumeration, is_side_gap_order
+import pytest
+from hypothesis import given, settings
+
+from conftest import gen, instances, mk_instance
+from oracles import best_by_enumeration, is_side_gap_order, reference_branch_and_bound
 
 from oscm_gaps.core import (
     InputError,
@@ -11,6 +14,7 @@ from oscm_gaps.core import (
     count_crossings,
     count_gaps,
     pairwise_crossings,
+    restrict_top,
 )
 from oscm_gaps.exact import (
     brute_force_oracle,
@@ -176,6 +180,94 @@ class TestBranchAndBound:
         assignment = decode_assignment(model, perm)
         g_sum = sum(v for name, v in assignment.items() if name.startswith("g_"))
         assert count_gaps(inst, perm).count <= g_sum + 1 <= 2
+
+
+def outcome(result):
+    return result.status, result.permutation, result.objective, result.nodes_explored
+
+
+def assert_same_search(model, initial, time_budget_s=60.0):
+    new = solve_branch_and_bound(model, time_budget_s, initial=initial)
+    ref = reference_branch_and_bound(model, time_budget_s, initial=initial)
+    assert outcome(new) == outcome(ref)
+
+
+class TestMatchesReferenceSearch:
+    """The search tests each child's bound in its parent; the reference
+    updates and undoes the state of every child before its own test. Both
+    must make the same moves."""
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_instances(self, inst):
+        model = build_base_oscm_model(inst)
+        assert_same_search(model, None)
+        assert_same_search(model, heuristic_order(inst, inst.top_ids, "median"))
+        for k in (1, 2, 3):
+            model = build_kgap_model(inst, k)
+            assert_same_search(model, None)
+            assert_same_search(model, solve_kgaps(inst, "median", k))
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_desk_scale_cells(self, n, seed):
+        inst = gen(n, "0.2", 3, seed)
+        reals = inst.real_top_ids
+        restricted = restrict_top(inst, reals)
+        assert_same_search(
+            build_base_oscm_model(restricted), heuristic_order(restricted, reals, "median")
+        )
+        assert_same_search(build_base_oscm_model(inst), heuristic_order(inst, inst.top_ids, "median"))
+        for k in (1, 2, 3, 5):
+            assert_same_search(build_kgap_model(inst, k), solve_kgaps(inst, "median", k))
+        assert_same_search(build_kgap_model(inst, 2), None)
+
+    @pytest.mark.parametrize("with_incumbent", [False, True])
+    def test_zero_budget(self, with_incumbent):
+        inst = gen(12, "0.2", 3, 1)
+        initial = solve_kgaps(inst, "median", 2) if with_incumbent else None
+        assert_same_search(build_kgap_model(inst, 2), initial, time_budget_s=0.0)
+
+
+class TestWallTime:
+    """An instance-level solve's wall time covers model build, incumbent
+    and search, not the search alone."""
+
+    DELAY_S = 0.02
+
+    @pytest.mark.parametrize(
+        "solve, build_name, incumbent_name",
+        [
+            (lambda inst: solve_kgap_exact(inst, 2), "build_kgap_model", "solve_kgaps"),
+            (solve_unrestricted_exact, "build_base_oscm_model", "heuristic_order"),
+            (solve_sidegap_exact, "build_base_oscm_model", "heuristic_order"),
+        ],
+        ids=["kgap", "unrestricted", "sidegap"],
+    )
+    def test_covers_build_and_incumbent(self, monkeypatch, solve, build_name, incumbent_name):
+        from oscm_gaps import exact
+
+        searches = []
+
+        def delayed(fn):
+            def call(*args, **kwargs):
+                time.sleep(self.DELAY_S)
+                return fn(*args, **kwargs)
+
+            return call
+
+        def recorded(*args, **kwargs):
+            result = search(*args, **kwargs)
+            searches.append(result)
+            return result
+
+        search = exact.solve_branch_and_bound
+        monkeypatch.setattr(exact, build_name, delayed(getattr(exact, build_name)))
+        monkeypatch.setattr(exact, incumbent_name, delayed(getattr(exact, incumbent_name)))
+        monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
+        result = solve(gen(8, "0.2", 3, 1))
+        assert len(searches) == 1
+        assert result.wall_time_s >= searches[0].wall_time_s + 2 * self.DELAY_S
 
 
 class TestOracle:

@@ -35,3 +35,13 @@ def test_jobs_below_one_exit_2(name, tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_out_on_a_plain_file_exit_2(name, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    monkeypatch.setattr(sys, "argv", [name, "--instances", "1", "--out", str(out)])
+    assert load(name).main() == 2
+    assert "input error: " in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
