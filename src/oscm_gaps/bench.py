@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -376,7 +375,8 @@ def run_bench(
     work = [(params, spec, time_budget_s) for _, _, params, spec in cells]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        import concurrent.futures  # a serial run never loads the pool's modules
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_cell, work))
     else:
         records = [_run_cell(cell) for cell in work]

@@ -47,12 +47,9 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except InputError as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(EXIT_INPUT_ERROR)
         except click.ClickException:
             raise
-        except OSError as exc:
+        except (InputError, OSError) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(EXIT_INPUT_ERROR)
         except Exception as exc:  # pragma: no cover - defensive

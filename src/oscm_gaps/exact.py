@@ -5,13 +5,16 @@ The model uses 0/1 ordering variables x_ij (v_i before v_j) with
 antisymmetry and transitivity, plus gap variables g_ij for consecutive
 dummies that count real interruptions of the canonical dummy order.
 Branch-and-bound searches permutation space directly, so transitivity
-holds implicitly in every explored state.
+holds implicitly in every explored state. It is plain OSCM: a k-gap
+optimum is the best optimum over the cut sets of the canonical d-dummy
+chain into min(k, d) segments, each searched as one node.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations, pairwise
 from time import perf_counter
 from typing import Literal
 
@@ -290,6 +293,12 @@ class _Timeout(Exception):
 _MEMO_CAP = 1 << 22
 
 
+def _root_bound(cost) -> int:
+    """Sum of min(c_uv, c_vu) over all pairs: a lower bound on any order."""
+    p = len(cost)
+    return sum(min(cost[i][j], cost[j][i]) for i in range(p) for j in range(i + 1, p))
+
+
 def solve_branch_and_bound(
     model: OrderingModel,
     time_budget_s: float = 300.0,
@@ -301,12 +310,13 @@ def solve_branch_and_bound(
     cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
     pairs. Placing u next adds `extra[u][v] = c_uv - min(c_uv, c_vu)` for
     each unplaced v, so each child's bound is tested in its parent as the
-    parent's bound plus that sum, before any state is built for it. The
-    fixed dummy chain restricts which dummy may come next, and the gap
-    budget prunes placements that would exceed k runs. A memo of
-    best-known prefix cost per (placed set, gap state) removes dominated
-    revisits. `nodes_explored` counts bound tests, the root's included.
+    parent's bound plus that sum, before any state is built for it. A memo
+    of best-known prefix cost per placed set removes dominated revisits.
+    It refuses a chained model: `solve_kgap_exact` reduces the chain away.
+    `nodes_explored` counts bound tests, the root's included.
     """
+    if model.chain:
+        raise InputError("the search takes no dummy chain; use solve_kgap_exact")
     start = perf_counter()
     p = len(model.ids)
     if p == 0:
@@ -314,40 +324,11 @@ def solve_branch_and_bound(
 
     cost = model.cost
     index = {v: i for i, v in enumerate(model.ids)}
-    chain = model.chain
-    n_chain = len(chain)
-    in_chain = [False] * p
-    for u in chain:
-        in_chain[u] = True
-
-    gap_tracked = model.gap_budget is not None
-    kmax = (model.gap_budget + 1) if gap_tracked else 0
-
-    def feasible(perm: Permutation) -> bool:
-        pos = perm.position
-        ids = model.ids
-        for i, j in model.fixed_pairs:
-            if pos[ids[i]] >= pos[ids[j]]:
-                return False
-        if gap_tracked and chain:
-            runs = 0
-            last = False
-            for v in perm.order:
-                d = in_chain[index[v]]
-                if d and not last:
-                    runs += 1
-                last = d
-            if runs > kmax:
-                return False
-        return True
-
     best_obj: int | None = None
     best_order: list[int] | None = None
     if initial is not None:
         if set(initial.order) != set(model.ids):
             raise InputError("initial incumbent does not cover the model's nodes")
-        if not feasible(initial):
-            raise InputError("initial incumbent violates the model's constraints")
         best_order = [index[v] for v in initial.order]
         best_obj = objective_value(model, initial)
 
@@ -362,34 +343,17 @@ def solve_branch_and_bound(
     static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
 
     prefix: list[int] = []
-    memo: dict[tuple[int, int, bool], int] = {(0, 0, False): 0}
+    memo: dict[int, int] = {0: 0}
     nodes = 1  # the root's bound test
     deadline = start + time_budget_s
 
-    def dfs(acc, bound, gaps, last_dummy, chain_placed, mask, unplaced, add) -> None:
+    def dfs(acc, bound, mask, unplaced, add) -> None:
         """Visit the children of a node: its prefix costs `acc`, and its
         `unplaced` nodes, in branching order, have forced costs `add`
         against the prefix."""
         nonlocal best_obj, best_order, nodes
         leaf = len(unplaced) == 1
-        next_chain = chain[chain_placed] if chain_placed < n_chain else -1
         for i, u in enumerate(unplaced):
-            u_chain = in_chain[u]
-            if u_chain and u != next_chain:
-                continue
-            if gap_tracked:
-                if u_chain:
-                    g2 = gaps if last_dummy else gaps + 1
-                    if g2 > kmax:
-                        continue
-                    ld2 = True
-                else:
-                    if chain_placed < n_chain and gaps >= kmax:
-                        continue  # a later dummy would need one gap too many
-                    g2, ld2 = gaps, False
-            else:
-                g2, ld2 = 0, False
-
             nodes += 1
             if nodes & 1023 == 0 and perf_counter() > deadline:
                 raise _Timeout
@@ -403,24 +367,23 @@ def solve_branch_and_bound(
                 continue
             acc2 = acc + add[u]
             mask2 = mask | (1 << u)
-            key = (mask2, g2, ld2)
-            prev = memo.get(key)
+            prev = memo.get(mask2)
             if prev is not None and prev <= acc2:
                 continue
             if prev is not None or len(memo) < _MEMO_CAP:
-                memo[key] = acc2
+                memo[mask2] = acc2
 
             rest = unplaced[:i] + unplaced[i + 1 :]
             forced = [a + c for a, c in zip(add, cost[u])]
             prefix.append(u)
-            dfs(acc2, child_bound, g2, ld2, chain_placed + u_chain, mask2, rest, forced)
+            dfs(acc2, child_bound, mask2, rest, forced)
             prefix.pop()
 
     status: Literal["optimal", "timeout_incumbent"] = "optimal"
-    root_bound = sum(min(cost[i][j], cost[j][i]) for i in range(p) for j in range(i + 1, p))
+    root_bound = _root_bound(cost)
     if best_obj is None or root_bound < best_obj:
         try:
-            dfs(0, root_bound, 0, False, 0, 0, static_order, [0] * p)
+            dfs(0, root_bound, 0, static_order, [0] * p)
         except _Timeout:
             status = "timeout_incumbent"
 
@@ -546,12 +509,52 @@ def solve_unrestricted_exact(
 def solve_kgap_exact(
     inst: BipartiteInstance, k: int, time_budget_s: float = 300.0
 ) -> SolveResult:
-    """Exact optimum over permutations with at most k gaps."""
+    """Exact optimum over permutations with at most k gaps: the best
+    optimum over the chain's cut sets, taken lazily with the deadline
+    checked before each. Segments leave chain order only at equal cost, so
+    refilling the dummy slots in canonical order keeps crossings and gaps."""
     start = perf_counter()
     model = build_kgap_model(inst, k)
-    initial = solve_kgaps(inst, "median", k)
-    result = solve_branch_and_bound(model, time_budget_s, initial=initial)
-    return replace(result, wall_time_s=perf_counter() - start)
+    best = solve_kgaps(inst, "median", k)
+    best_obj = objective_value(model, best)
+    chain, d = model.chain, len(model.chain)
+    status, nodes = "optimal", 0
+    for cuts in combinations(range(1, d), min(k, d) - 1) if d else [()]:
+        if (remaining := start + time_budget_s - perf_counter()) <= 0:
+            status = "timeout_incumbent"
+            break
+        segments = [chain[a:b] for a, b in pairwise((0, *cuts, d))] if d else []
+        result = _search_segments(model, segments, best, best_obj, remaining)
+        if result is not None:
+            nodes += result.nodes_explored
+            if result.objective < best_obj:
+                best, best_obj = result.permutation, result.objective
+            if (status := result.status) != "optimal":
+                break
+    canonical = iter([model.ids[c] for c in chain])
+    order = tuple(next(canonical) if inst.top_kind[v] == "dummy" else v for v in best.order)
+    return SolveResult(status, Permutation(order), best_obj, perf_counter() - start, nodes)
+
+
+def _search_segments(model, segments, best, best_obj, time_budget_s) -> SolveResult | None:
+    """Search one cut set of the k-gap `model`: its real nodes and one node
+    per segment, named after its first dummy and costing the sum of its
+    dummies. None when the root bound reaches `best_obj`; else the search
+    from `best`, each segment at its first dummy's place, expanded back."""
+    groups = [(i,) for i, kind in enumerate(model.kinds) if kind == "real"] + segments
+    cost = tuple(tuple(sum(model.cost[i][j] for i in g for j in h) for h in groups) for g in groups)
+    if _root_bound(cost) >= best_obj:
+        return None
+    members = {model.ids[g[0]]: [model.ids[i] for i in g] for g in segments}
+    head = {v: h for h, vs in members.items() for v in vs}
+    degrees = tuple(sum(model.degrees[i] for i in g) for g in groups)
+    ids = tuple(model.ids[g[0]] for g in groups)
+    kinds = tuple(model.kinds[g[0]] for g in groups)
+    contracted = OrderingModel(ids, kinds, cost, (), None, degrees)
+    initial = Permutation(tuple(dict.fromkeys(head.get(v, v) for v in best.order)))
+    result = solve_branch_and_bound(contracted, time_budget_s, initial=initial)
+    order = [v for h in result.permutation.order for v in members.get(h, (h,))]
+    return replace(result, permutation=Permutation(tuple(order)))
 
 
 def solve_sidegap_exact(

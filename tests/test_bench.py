@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,7 +241,7 @@ class TestRunBench:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         config = BenchConfig.from_dict(
             {
@@ -250,3 +254,12 @@ class TestRunBench:
         csv_path, _ = run_bench(config, tmp_path, jobs=jobs)
         assert len(read_rows(csv_path)) == 6
         assert started == ([] if expected is None else [expected])
+
+    def test_serial_run_loads_no_process_pool(self):
+        code = "import sys, oscm_gaps.cli; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(bench.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"

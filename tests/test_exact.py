@@ -10,7 +10,6 @@ from oracles import best_by_enumeration, is_side_gap_order, reference_branch_and
 
 from oscm_gaps.core import (
     InputError,
-    Permutation,
     count_crossings,
     count_gaps,
     pairwise_crossings,
@@ -32,7 +31,7 @@ from oscm_gaps.exact import (
     solve_sidegap_exact,
     solve_unrestricted_exact,
 )
-from oscm_gaps.gap_placement import solve_kgaps
+from oscm_gaps.gap_placement import canonical_dummy_order, solve_kgaps
 from oscm_gaps.heuristics import heuristic_order
 
 
@@ -141,12 +140,14 @@ class TestBranchAndBound:
         assert result.permutation == initial
         assert result.objective == count_crossings(inst, initial)
 
-    def test_infeasible_incumbent_rejected(self):
+    def test_chained_model_refused(self):
         inst = gen(6, 0.5, 2, 1)
         model = build_kgap_model(inst, 1)
-        bad = Permutation(tuple(sorted(inst.top_ids, reverse=True)))
+        assert model.chain
         with pytest.raises(InputError):
-            solve_branch_and_bound(model, 1.0, initial=bad)
+            solve_branch_and_bound(model, 1.0)
+        with pytest.raises(InputError):
+            solve_branch_and_bound(model, 1.0, initial=solve_kgaps(inst, "median", 1))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_oracle_all_modes(self, seed):
@@ -162,7 +163,7 @@ class TestBranchAndBound:
         inst = gen(7, 0.4, 2, seed)
         for k in (1, 2):
             model = build_kgap_model(inst, k)
-            result = solve_branch_and_bound(model, 30.0)
+            result = solve_kgap_exact(inst, k, 30.0)
             assert result.status == "optimal"
             perm = result.permutation
             assert count_gaps(inst, perm).count <= k
@@ -176,7 +177,7 @@ class TestBranchAndBound:
     def test_gap_variable_soundness(self):
         inst = gen(8, 0.5, 2, 3)
         model = build_kgap_model(inst, 2)
-        perm = solve_branch_and_bound(model, 30.0).permutation
+        perm = solve_kgap_exact(inst, 2, 30.0).permutation
         assignment = decode_assignment(model, perm)
         g_sum = sum(v for name, v in assignment.items() if name.startswith("g_"))
         assert count_gaps(inst, perm).count <= g_sum + 1 <= 2
@@ -192,10 +193,21 @@ def assert_same_search(model, initial, time_budget_s=60.0):
     assert outcome(new) == outcome(ref)
 
 
+def assert_same_kgap_optimum(inst, k, initial, time_budget_s=60.0):
+    """The cut-set solve and the reference's gap-tracking search of the
+    k-gap model (from `initial`) agree on status and objective."""
+    new = solve_kgap_exact(inst, k, time_budget_s)
+    ref = reference_branch_and_bound(build_kgap_model(inst, k), time_budget_s, initial=initial)
+    assert (new.status, new.objective) == (ref.status, ref.objective)
+    return new, ref
+
+
 class TestMatchesReferenceSearch:
     """The search tests each child's bound in its parent; the reference
     updates and undoes the state of every child before its own test. Both
-    must make the same moves."""
+    must make the same moves on base models. The reference still tracks
+    gaps along the dummy chain, so on k-gap models it checks the cut-set
+    solve's status and objective."""
 
     @given(instances())
     @settings(max_examples=60, deadline=None)
@@ -204,9 +216,8 @@ class TestMatchesReferenceSearch:
         assert_same_search(model, None)
         assert_same_search(model, heuristic_order(inst, inst.top_ids, "median"))
         for k in (1, 2, 3):
-            model = build_kgap_model(inst, k)
-            assert_same_search(model, None)
-            assert_same_search(model, solve_kgaps(inst, "median", k))
+            assert_same_kgap_optimum(inst, k, None)
+            assert_same_kgap_optimum(inst, k, solve_kgaps(inst, "median", k))
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -219,14 +230,18 @@ class TestMatchesReferenceSearch:
         )
         assert_same_search(build_base_oscm_model(inst), heuristic_order(inst, inst.top_ids, "median"))
         for k in (1, 2, 3, 5):
-            assert_same_search(build_kgap_model(inst, k), solve_kgaps(inst, "median", k))
-        assert_same_search(build_kgap_model(inst, 2), None)
+            assert_same_kgap_optimum(inst, k, solve_kgaps(inst, "median", k))
+        assert_same_kgap_optimum(inst, 2, None)
 
     @pytest.mark.parametrize("with_incumbent", [False, True])
     def test_zero_budget(self, with_incumbent):
         inst = gen(12, "0.2", 3, 1)
-        initial = solve_kgaps(inst, "median", 2) if with_incumbent else None
-        assert_same_search(build_kgap_model(inst, 2), initial, time_budget_s=0.0)
+        if with_incumbent:
+            initial = solve_kgaps(inst, "median", 2)
+            new, ref = assert_same_kgap_optimum(inst, 2, initial, time_budget_s=0.0)
+            assert (new.permutation, new.nodes_explored) == (ref.permutation, ref.nodes_explored)
+        else:
+            assert_same_search(build_base_oscm_model(inst), None, time_budget_s=0.0)
 
 
 class TestWallTime:
@@ -265,9 +280,11 @@ class TestWallTime:
         monkeypatch.setattr(exact, build_name, delayed(getattr(exact, build_name)))
         monkeypatch.setattr(exact, incumbent_name, delayed(getattr(exact, incumbent_name)))
         monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
-        result = solve(gen(8, "0.2", 3, 1))
-        assert len(searches) == 1
-        assert result.wall_time_s >= searches[0].wall_time_s + 2 * self.DELAY_S
+        # seed 2: on seed 1 root bounds prune every k-gap cut set
+        result = solve(gen(8, "0.2", 3, 2))
+        assert len(searches) >= 1
+        searched = sum(search.wall_time_s for search in searches)
+        assert result.wall_time_s >= searched + 2 * self.DELAY_S
 
 
 class TestOracle:
@@ -331,9 +348,84 @@ class TestTimeout:
     def test_large_instance_times_out_with_feasible_incumbent(self):
         inst = gen(24, 0.25, 3, 0)
         initial = solve_kgaps(inst, "median", 2)
-        model = build_kgap_model(inst, 2)
-        result = solve_branch_and_bound(model, 0.05, initial=initial)
+        result = solve_kgap_exact(inst, 2, 0.05)
         assert result.status in ("optimal", "timeout_incumbent")
         assert result.permutation is not None
         assert count_gaps(inst, result.permutation).count <= 2
         assert result.objective <= count_crossings(inst, initial)
+
+    def test_zero_budget_returns_heuristic_unsearched(self):
+        # root bounds prune every cut set here, so any positive budget
+        # proves the heuristic optimal without a search node
+        inst = gen(8, "0.2", 3, 1)
+        heuristic = solve_kgaps(inst, "median", 2)
+        proven = solve_kgap_exact(inst, 2)
+        assert (proven.status, proven.nodes_explored) == ("optimal", 0)
+        assert proven.objective == count_crossings(inst, heuristic)
+        result = solve_kgap_exact(inst, 2, 0.0)
+        assert (result.status, result.nodes_explored) == ("timeout_incumbent", 0)
+        assert result.permutation == heuristic
+        assert result.objective == count_crossings(inst, heuristic)
+
+    def test_many_cut_sets_stop_at_the_deadline(self):
+        inst = gen(60, "0.5", 3, 1)
+        assert len(inst.dummy_top_ids) == 30  # C(29, 4) = 23751 cut sets for k=5
+        begun = time.perf_counter()
+        result = solve_kgap_exact(inst, 5, 0.5)
+        assert time.perf_counter() - begun <= 0.5 + 1.0
+        assert result.status == "timeout_incumbent"
+        assert count_gaps(inst, result.permutation).count <= 5
+        assert result.objective == count_crossings(inst, result.permutation)
+        assert result.objective <= count_crossings(inst, solve_kgaps(inst, "median", 5))
+
+
+def assert_kgap_output(inst, result, k):
+    """Recount, gap budget and canonical dummy order of a k-gap solve."""
+    perm = result.permutation
+    assert result.objective == count_crossings(inst, perm)
+    assert count_gaps(inst, perm).count <= k
+    assert perm.induced(inst.dummy_top_ids).order == canonical_dummy_order(inst).order.order
+
+
+class TestKgapCutSets:
+    """The k-gap solve searches plain OSCM models, one per cut set of the
+    canonical dummy chain."""
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, inst):
+        optima = enumerate_optima(inst, ks=(1, 2, 3))
+        for k in (1, 2, 3):
+            result = solve_kgap_exact(inst, k)
+            assert result.status == "optimal"
+            assert result.objective == optima[("kgap", k)][1]
+            assert_kgap_output(inst, result, k)
+
+    @pytest.mark.parametrize("seed, optimum", [(1, 1286), (2, 1166), (3, 1264)])
+    def test_paper_scale_one_gap(self, seed, optimum):
+        # the gap-tracking search did not prove these within 20 s
+        inst = gen(32, "0.2", 3, seed)
+        result = solve_kgap_exact(inst, 1, 60.0)
+        assert (result.status, result.objective) == ("optimal", optimum)
+        assert_kgap_output(inst, result, 1)
+
+    def test_equal_neighbour_tie_keeps_canonical_order(self, monkeypatch):
+        from oscm_gaps import exact
+
+        inst = gen(6, "0.5", 2, 3)
+        assert set(inst.dummy_neighbor.values()) == {0}  # all three dummies tie
+        searched = []
+
+        def recorded(*args, **kwargs):
+            result = search(*args, **kwargs)
+            searched.append(result.permutation)
+            return result
+
+        search = exact.solve_branch_and_bound
+        monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
+        result = solve_kgap_exact(inst, 2)
+        # a search placed the segment of dummy 10 before the one of dummy 9
+        assert any(p.precedes(10, 9) for p in searched)
+        assert result.status == "optimal"
+        assert result.objective == enumerate_optima(inst, ks=(2,))[("kgap", 2)][1]
+        assert_kgap_output(inst, result, 2)
