@@ -40,8 +40,6 @@ class Algorithm:
 
 
 def _proven(result: SolveResult) -> tuple[Permutation, str]:
-    if result.permutation is None:
-        raise InputError("exact solver produced no permutation")
     return result.permutation, result.status
 
 
@@ -75,8 +73,6 @@ ALGORITHMS: dict[str, Algorithm] = {
     ),
     "oracle": Algorithm(_oracle, None, True),
 }
-
-EXACT_SIZE_LIMIT = 20  # exact runs above this need allow_large
 
 
 @dataclass(frozen=True)
@@ -351,7 +347,6 @@ def run_bench(
     jobs: int = 1,
     time_budget_s: float = 300.0,
     deterministic_times: bool = False,
-    allow_large: bool = False,
 ) -> tuple[Path, list[Path]]:
     """Run the full matrix; returns (csv path, plot paths).
 
@@ -361,17 +356,6 @@ def run_bench(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = config.cells()
-
-    for _, _, params, spec in cells:
-        # the oracle refuses large instances itself; the branch and bound
-        # would only run into its time budget
-        searched = spec.algorithm.exact and spec.algorithm.regime is not None
-        if searched and params.n > EXACT_SIZE_LIMIT and not allow_large:
-            raise InputError(
-                f"exact run at n={params.n} exceeds the n<={EXACT_SIZE_LIMIT} default; "
-                "pass allow_large to accept possible timeouts"
-            )
-
     work = [(params, spec, time_budget_s) for _, _, params, spec in cells]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:

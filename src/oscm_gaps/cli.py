@@ -83,6 +83,23 @@ def generate_cmd(n, f_dm, deg_avg, seed, out):
     )
 
 
+def _check_time_budget(ctx, param, value: float) -> float:
+    # NaN passes FloatRange(min=0) and would switch the deadline off
+    if not value >= 0:
+        raise click.BadParameter(f"must be a number of seconds >= 0, got {value}")
+    return value
+
+
+_time_budget_option = click.option(
+    "--time-budget-s",
+    type=float,
+    default=300.0,
+    show_default=True,
+    callback=_check_time_budget,
+    help="Per exact solve; 0 returns the incumbent unsearched, inf sets no limit.",
+)
+
+
 def _record_csv(record) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -95,7 +112,7 @@ def _record_csv(record) -> str:
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--algo", type=click.Choice(list(ALGORITHMS)), required=True)
 @click.option("--k", type=int, default=None, help="Gap budget for kgaps variants.")
-@click.option("--time-budget-s", type=float, default=300.0, show_default=True)
+@_time_budget_option
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Permutation JSON path.")
 @_handle_errors
 def solve(instance, algo, k, time_budget_s, out):
@@ -150,19 +167,14 @@ def oracle(instance, mode, k, out):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--time-budget-s", type=float, default=300.0, show_default=True)
+@_time_budget_option
 @click.option(
     "--deterministic-times",
     is_flag=True,
     help="Record all wall times as 0 so outputs are byte-reproducible.",
 )
-@click.option(
-    "--allow-large",
-    is_flag=True,
-    help="Permit exact solvers above the n<=20 default (timeouts become likely).",
-)
 @_handle_errors
-def bench(config_path, out_dir, jobs, time_budget_s, deterministic_times, allow_large):
+def bench(config_path, out_dir, jobs, time_budget_s, deterministic_times):
     """Run a benchmark matrix; writes results.csv and SVG plots."""
     if config_path:
         config = BenchConfig.from_json(Path(config_path).read_text(encoding="utf-8"))
@@ -174,7 +186,6 @@ def bench(config_path, out_dir, jobs, time_budget_s, deterministic_times, allow_
         jobs=jobs,
         time_budget_s=time_budget_s,
         deterministic_times=deterministic_times,
-        allow_large=allow_large,
     )
     rows = len(config.cells())
     click.echo(f"wrote {csv_path} ({rows} rows)")

@@ -44,20 +44,6 @@ class Permutation:
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
 
-    def pos(self, node_id: int) -> int:
-        try:
-            return self.position[node_id]
-        except KeyError:
-            raise InputError(f"id {node_id} not in permutation") from None
-
-    def precedes(self, x: int, y: int) -> bool:
-        return self.pos(x) < self.pos(y)
-
-    def induced(self, subset: Iterable[int]) -> "Permutation":
-        """Restriction to `subset`, preserving relative order."""
-        keep = set(subset)
-        return Permutation(tuple(v for v in self.order if v in keep))
-
     def __iter__(self):
         return iter(self.order)
 

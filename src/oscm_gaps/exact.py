@@ -276,12 +276,15 @@ def objective_value(model: OrderingModel, permutation: Permutation) -> int:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one exact solve. For the instance-level pipelines
-    `wall_time_s` covers model build, incumbent and search."""
+    """Outcome of one exact solve. Every search starts from a feasible
+    incumbent, so a solve always carries a permutation and its objective:
+    a proven optimum (`optimal`) or, when the time budget ran out, the
+    best order found so far (`timeout_incumbent`). For the instance-level
+    pipelines `wall_time_s` covers model build, incumbent and search."""
 
-    status: Literal["optimal", "timeout_incumbent", "infeasible"]
-    permutation: Permutation | None
-    objective: int | None
+    status: Literal["optimal", "timeout_incumbent"]
+    permutation: Permutation
+    objective: int
     wall_time_s: float
     nodes_explored: int
 
@@ -300,11 +303,10 @@ def _root_bound(cost) -> int:
 
 
 def solve_branch_and_bound(
-    model: OrderingModel,
-    time_budget_s: float = 300.0,
-    initial: Permutation | None = None,
+    model: OrderingModel, time_budget_s: float, initial: Permutation
 ) -> SolveResult:
-    """Depth-first search over permutation prefixes with incremental cost.
+    """Depth-first search over permutation prefixes with incremental cost,
+    starting from the incumbent `initial`, an order of the model's nodes.
 
     The bound at a prefix is the cost among placed pairs, plus the forced
     cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
@@ -313,28 +315,25 @@ def solve_branch_and_bound(
     parent's bound plus that sum, before any state is built for it. A memo
     of best-known prefix cost per placed set removes dominated revisits.
     It refuses a chained model: `solve_kgap_exact` reduces the chain away.
-    `nodes_explored` counts bound tests, the root's included.
+    `nodes_explored` counts bound tests, the root's included; a budget of
+    0 returns `initial` unsearched.
     """
     if model.chain:
         raise InputError("the search takes no dummy chain; use solve_kgap_exact")
+    if set(initial.order) != set(model.ids):
+        raise InputError("initial incumbent does not cover the model's nodes")
     start = perf_counter()
     p = len(model.ids)
     if p == 0:
-        return SolveResult("optimal", Permutation(()), 0, perf_counter() - start, 0)
+        return SolveResult("optimal", initial, 0, perf_counter() - start, 0)
+
+    best_obj = objective_value(model, initial)
+    if time_budget_s <= 0:
+        return SolveResult("timeout_incumbent", initial, best_obj, perf_counter() - start, 0)
 
     cost = model.cost
     index = {v: i for i, v in enumerate(model.ids)}
-    best_obj: int | None = None
-    best_order: list[int] | None = None
-    if initial is not None:
-        if set(initial.order) != set(model.ids):
-            raise InputError("initial incumbent does not cover the model's nodes")
-        best_order = [index[v] for v in initial.order]
-        best_obj = objective_value(model, initial)
-
-    if time_budget_s <= 0:
-        perm = Permutation(tuple(model.ids[u] for u in best_order)) if best_order else None
-        return SolveResult("timeout_incumbent", perm, best_obj, perf_counter() - start, 0)
+    best_order = [index[v] for v in initial.order]
 
     extra = [
         [c - min(c, cost[v][u]) for v, c in enumerate(row)] for u, row in enumerate(cost)
@@ -363,7 +362,7 @@ def solve_branch_and_bound(
                 # equal bound passed the test against the incumbent
                 best_obj, best_order = child_bound, prefix + [u]
                 continue
-            if best_obj is not None and child_bound >= best_obj:
+            if child_bound >= best_obj:
                 continue
             acc2 = acc + add[u]
             mask2 = mask | (1 << u)
@@ -381,15 +380,13 @@ def solve_branch_and_bound(
 
     status: Literal["optimal", "timeout_incumbent"] = "optimal"
     root_bound = _root_bound(cost)
-    if best_obj is None or root_bound < best_obj:
+    if root_bound < best_obj:
         try:
             dfs(0, root_bound, 0, static_order, [0] * p)
         except _Timeout:
             status = "timeout_incumbent"
 
-    perm = None
-    if best_order is not None:
-        perm = Permutation(tuple(model.ids[u] for u in best_order))
+    perm = Permutation(tuple(model.ids[u] for u in best_order))
     return SolveResult(status, perm, best_obj, perf_counter() - start, nodes)
 
 
@@ -479,12 +476,15 @@ def brute_force_oracle(
     mode: Literal["unrestricted", "sidegap", "kgap"] = "unrestricted",
     k: int | None = None,
 ) -> tuple[Permutation, int]:
-    """Exhaustive optimum for one mode; see `enumerate_optima`."""
+    """Exhaustive optimum for one mode; see `enumerate_optima`. Only the
+    kgap mode takes k."""
     if mode == "kgap":
         if k is None:
             raise InputError("kgap mode requires k")
         result = enumerate_optima(inst, ks=(k,))[("kgap", k)]
     elif mode in ("unrestricted", "sidegap"):
+        if k is not None:
+            raise InputError(f"{mode} mode takes no k (got k={k})")
         result = enumerate_optima(inst)[mode]
     else:
         raise InputError(f"unknown oracle mode: {mode!r}")
@@ -502,7 +502,7 @@ def solve_unrestricted_exact(
     start = perf_counter()
     model = build_base_oscm_model(inst)
     initial = heuristic_order(inst, inst.top_ids, "median")
-    result = solve_branch_and_bound(model, time_budget_s, initial=initial)
+    result = solve_branch_and_bound(model, time_budget_s, initial)
     return replace(result, wall_time_s=perf_counter() - start)
 
 
@@ -552,7 +552,7 @@ def _search_segments(model, segments, best, best_obj, time_budget_s) -> SolveRes
     kinds = tuple(model.kinds[g[0]] for g in groups)
     contracted = OrderingModel(ids, kinds, cost, (), None, degrees)
     initial = Permutation(tuple(dict.fromkeys(head.get(v, v) for v in best.order)))
-    result = solve_branch_and_bound(contracted, time_budget_s, initial=initial)
+    result = solve_branch_and_bound(contracted, time_budget_s, initial)
     order = [v for h in result.permutation.order for v in members.get(h, (h,))]
     return replace(result, permutation=Permutation(tuple(order)))
 
@@ -560,19 +560,12 @@ def _search_segments(model, segments, best, best_obj, time_budget_s) -> SolveRes
 def solve_sidegap_exact(
     inst: BipartiteInstance, time_budget_s: float = 300.0
 ) -> SolveResult:
-    """Exact optimum over side-gap permutations: solve the real nodes
-    exactly, then place the dummies into side gaps (the placement is
-    independent of the real order, so the composition stays exact)."""
+    """Exact optimum over side-gap permutations: the unrestricted optimum
+    of the real nodes, with the dummies then placed into side gaps (the
+    placement is independent of the real order, so the composition stays
+    exact)."""
     start = perf_counter()
-    reals = inst.real_top_ids
-    restricted = restrict_top(inst, reals)
-    model = build_base_oscm_model(restricted)
-    initial = heuristic_order(restricted, reals, "median")
-    inner = solve_branch_and_bound(model, time_budget_s, initial=initial)
-    if inner.permutation is None:
-        return SolveResult(
-            inner.status, None, None, perf_counter() - start, inner.nodes_explored
-        )
+    inner = solve_unrestricted_exact(restrict_top(inst, inst.real_top_ids), time_budget_s)
     merged = side_gap_merge(inst, inner.permutation)
     return SolveResult(
         inner.status,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BipartiteInstance, InputError, Node
+from .core import BipartiteInstance, InputError, Node, Permutation
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,4 +131,7 @@ def generate(params: GenParams) -> BipartiteInstance:
         for i in range(n_dm):  # top dummies -> random real bottom node
             edges.append((rng.randrange(n_r), n + n_r + i))
 
-    return BipartiteInstance.build(bottom, top, edges)
+    # valid by construction (distinct ids and edges, one edge per dummy),
+    # so this skips the validation of `BipartiteInstance.build`
+    pi1 = Permutation(tuple(range(n)))
+    return BipartiteInstance(tuple(bottom), tuple(top), frozenset(edges), pi1)

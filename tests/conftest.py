@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from oscm_gaps.core import BipartiteInstance, Node
+from oscm_gaps.core import BipartiteInstance, Node, Permutation
 from oscm_gaps.generator import GenParams, generate
 
 TOP_BASE = 100  # top ids start here so the layers never collide
@@ -25,6 +25,16 @@ def mk_instance(bottom_kinds: str, top_kinds: str, edges, pi1=None) -> Bipartite
 
 def gen(n, f_dm, deg_avg, seed) -> BipartiteInstance:
     return generate(GenParams(n=n, f_dm=f_dm, deg_avg=deg_avg, seed=seed))
+
+
+def induced(pi: Permutation, subset) -> Permutation:
+    """Restriction of `pi` to `subset`, preserving relative order."""
+    keep = set(subset)
+    return Permutation(tuple(v for v in pi.order if v in keep))
+
+
+def precedes(pi: Permutation, x: int, y: int) -> bool:
+    return pi.position[x] < pi.position[y]
 
 
 @st.composite

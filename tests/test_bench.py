@@ -165,7 +165,7 @@ class TestRunBench:
         assert all(r["status"].startswith("error:") for r in oracle_rows)
         assert all(r["status"] == "ok" for r in other_rows)
 
-    def test_exact_size_guard(self, tmp_path):
+    def test_exact_run_above_twenty_nodes_writes_optimal_row(self, tmp_path):
         config = BenchConfig.from_dict(
             {
                 "sweep_param": None,
@@ -174,8 +174,10 @@ class TestRunBench:
                 "algos": ["exact_kgaps:2"],
             }
         )
-        with pytest.raises(InputError):
-            run_bench(config, tmp_path)
+        rows = read_rows(run_bench(config, tmp_path)[0])
+        assert [(r["n"], r["algo"], r["k"], r["status"]) for r in rows] == [
+            ("24", "exact_kgaps", "2", "optimal")
+        ]
 
     def test_deterministic_times_reproducible(self, tmp_path):
         config = BenchConfig.from_dict(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -95,6 +96,24 @@ class TestSolve:
         assert result.exit_code == 3, result.output
         assert perm_path.exists()  # incumbent still written
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bad_time_budget_exit_2(self, runner, tmp_path, budget):
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 8, "--seed", 1, "--out", inst_path)
+        result = invoke(runner, "solve", inst_path, "--algo", "exact_kgaps", "--k", 2,
+                        "--time-budget-s", budget, "--out", tmp_path / "perm.json")
+        assert result.exit_code == 2, result.output
+        assert "--time-budget-s" in result.output
+        assert not (tmp_path / "perm.json").exists()
+
+    def test_infinite_budget_proves(self, runner, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 8, "--seed", 1, "--out", inst_path)
+        result = invoke(runner, "solve", inst_path, "--algo", "exact_kgaps", "--k", 2,
+                        "--time-budget-s", "inf", "--out", tmp_path / "perm.json")
+        assert result.exit_code == 0, result.output
+        assert ",optimal," in result.output
+
     def test_missing_instance_exit_2(self, runner, tmp_path):
         result = invoke(runner, "solve", tmp_path / "nope.json",
                         "--algo", "median_sidegaps", "--out", tmp_path / "p.json")
@@ -164,6 +183,14 @@ class TestOracleCommand:
         inst = load_instance(str(inst_path))
         assert f"crossings={brute_force_oracle(inst, 'sidegap')[1]}" in result.output
 
+    @pytest.mark.parametrize("mode, k", [("unrestricted", 3), ("sidegap", 0)])
+    def test_k_outside_kgap_mode_exit_2(self, runner, tmp_path, mode, k):
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 6, "--out", inst_path)
+        result = invoke(runner, "oracle", inst_path, "--mode", mode, "--k", k)
+        assert result.exit_code == 2
+        assert f"{mode} mode takes no k" in result.output
+
     def test_refusal_over_nine_top_nodes(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"
         invoke(runner, "generate", "--n", 12, "--out", inst_path)
@@ -188,7 +215,7 @@ class TestBenchCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "results.csv").exists()
 
-    def test_exact_guard_exit_2(self, runner, tmp_path):
+    def test_large_exact_run_out_of_time_is_a_row(self, runner, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps(
@@ -200,9 +227,20 @@ class TestBenchCommand:
                 }
             )
         )
-        result = invoke(runner, "bench", "--config", config, "--out", tmp_path / "out")
-        assert result.exit_code == 2
+        result = invoke(runner, "bench", "--config", config, "--out", tmp_path / "out",
+                        "--time-budget-s", 0)
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8")
+        [row] = list(csv.DictReader(text.splitlines()))
+        assert row["status"] == "timeout_incumbent"
+        assert row["crossings"] and not row["ratio_crossings"]
 
+    @pytest.mark.parametrize("budget", ["nan", "-0.5"])
+    def test_bad_time_budget_exit_2(self, runner, tmp_path, budget):
+        result = invoke(runner, "bench", "--time-budget-s", budget, "--out", tmp_path / "out")
+        assert result.exit_code == 2
+        assert "--time-budget-s" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_below_one_exit_2(self, runner, tmp_path):
         result = invoke(runner, "bench", "--jobs", 0, "--out", tmp_path / "out")

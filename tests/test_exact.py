@@ -5,11 +5,12 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import gen, instances, mk_instance
+from conftest import gen, induced, instances, mk_instance, precedes
 from oracles import best_by_enumeration, is_side_gap_order, reference_branch_and_bound
 
 from oscm_gaps.core import (
     InputError,
+    Permutation,
     count_crossings,
     count_gaps,
     pairwise_crossings,
@@ -102,13 +103,14 @@ class TestBranchAndBound:
     def test_two_node_model(self):
         inst = mk_instance("rr", "rr", [(0, 101), (1, 100)])
         matrix = pairwise_crossings(inst)
-        result = solve_branch_and_bound(build_base_oscm_model(inst), 10.0)
+        model = build_base_oscm_model(inst)
+        result = solve_branch_and_bound(model, 10.0, Permutation(model.ids))
         assert result.status == "optimal"
         assert result.objective == min(matrix.cost(100, 101), matrix.cost(101, 100))
 
     def test_single_node(self):
-        inst = gen(1, 0, 1, 0)
-        result = solve_branch_and_bound(build_base_oscm_model(inst), 10.0)
+        model = build_base_oscm_model(gen(1, 0, 1, 0))
+        result = solve_branch_and_bound(model, 10.0, Permutation(model.ids))
         assert result.status == "optimal"
         assert result.objective == 0
         assert len(result.permutation) == 1
@@ -117,7 +119,7 @@ class TestBranchAndBound:
     def test_objective_at_least_pair_minimum(self, seed):
         inst = gen(7, 0.3, 3, seed)
         model = build_base_oscm_model(inst)
-        result = solve_branch_and_bound(model, 10.0)
+        result = solve_branch_and_bound(model, 10.0, Permutation(model.ids))
         ids = model.ids
         floor_bound = sum(
             min(model.cost[i][j], model.cost[j][i])
@@ -125,12 +127,6 @@ class TestBranchAndBound:
             for j in range(i + 1, len(ids))
         )
         assert result.objective >= floor_bound
-
-    def test_zero_budget_without_incumbent(self):
-        result = solve_branch_and_bound(build_base_oscm_model(gen(5, 0, 2, 0)), 0.0)
-        assert result.status == "timeout_incumbent"
-        assert result.permutation is None
-        assert result.objective is None
 
     def test_zero_budget_with_incumbent(self):
         inst = gen(5, 0, 2, 0)
@@ -145,7 +141,7 @@ class TestBranchAndBound:
         model = build_kgap_model(inst, 1)
         assert model.chain
         with pytest.raises(InputError):
-            solve_branch_and_bound(model, 1.0)
+            solve_branch_and_bound(model, 1.0, Permutation(model.ids))
         with pytest.raises(InputError):
             solve_branch_and_bound(model, 1.0, initial=solve_kgaps(inst, "median", 1))
 
@@ -213,7 +209,7 @@ class TestMatchesReferenceSearch:
     @settings(max_examples=60, deadline=None)
     def test_hypothesis_instances(self, inst):
         model = build_base_oscm_model(inst)
-        assert_same_search(model, None)
+        assert_same_search(model, Permutation(model.ids))
         assert_same_search(model, heuristic_order(inst, inst.top_ids, "median"))
         for k in (1, 2, 3):
             assert_same_kgap_optimum(inst, k, None)
@@ -241,7 +237,8 @@ class TestMatchesReferenceSearch:
             new, ref = assert_same_kgap_optimum(inst, 2, initial, time_budget_s=0.0)
             assert (new.permutation, new.nodes_explored) == (ref.permutation, ref.nodes_explored)
         else:
-            assert_same_search(build_base_oscm_model(inst), None, time_budget_s=0.0)
+            model = build_base_oscm_model(inst)
+            assert_same_search(model, Permutation(model.ids), time_budget_s=0.0)
 
 
 class TestWallTime:
@@ -307,6 +304,11 @@ class TestOracle:
     def test_kgap_requires_k(self):
         with pytest.raises(InputError):
             brute_force_oracle(gen(4, 0.25, 1, 0), "kgap")
+
+    @pytest.mark.parametrize("mode, k", [("unrestricted", 3), ("sidegap", 0), ("sidegap", 2)])
+    def test_k_outside_kgap_mode_refused(self, mode, k):
+        with pytest.raises(InputError, match=f"{mode} mode takes no k"):
+            brute_force_oracle(gen(6, 0.3, 2, 7), mode, k=k)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_itertools_enumeration(self, seed):
@@ -384,7 +386,7 @@ def assert_kgap_output(inst, result, k):
     perm = result.permutation
     assert result.objective == count_crossings(inst, perm)
     assert count_gaps(inst, perm).count <= k
-    assert perm.induced(inst.dummy_top_ids).order == canonical_dummy_order(inst).order.order
+    assert induced(perm, inst.dummy_top_ids).order == canonical_dummy_order(inst).order.order
 
 
 class TestKgapCutSets:
@@ -425,7 +427,7 @@ class TestKgapCutSets:
         monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
         result = solve_kgap_exact(inst, 2)
         # a search placed the segment of dummy 10 before the one of dummy 9
-        assert any(p.precedes(10, 9) for p in searched)
+        assert any(precedes(p, 10, 9) for p in searched)
         assert result.status == "optimal"
         assert result.objective == enumerate_optima(inst, ks=(2,))[("kgap", 2)][1]
         assert_kgap_output(inst, result, 2)

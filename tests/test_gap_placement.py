@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import gen, instances, mk_instance
+from conftest import gen, induced, instances, mk_instance, precedes
 from oracles import (
     best_bounded_gap_merge,
     best_sidegap_split,
@@ -39,11 +39,11 @@ def real_order_of(inst, kind="median"):
 def assert_canonical_dummy_invariants(inst, pi2):
     """No solver output may scramble the dummies or cross their edges."""
     canonical = canonical_dummy_order(inst)
-    assert pi2.induced(inst.dummy_top_ids).order == canonical.order.order
+    assert induced(pi2, inst.dummy_top_ids).order == canonical.order.order
     dummies = list(canonical.order.order)
     for i, d1 in enumerate(dummies):
         for d2 in dummies[i + 1 :]:
-            if pi2.precedes(d1, d2):
+            if precedes(pi2, d1, d2):
                 assert naive_pair_crossings(inst, d1, d2) == 0
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,21 @@ def test_generated_instances_are_valid(params):
     assert validate_instance(inst) == []
     assert len(inst.bottom) == len(inst.top) == params.n
     assert len(inst.dummy_top_ids) == params.n_dummy
+
+
+@pytest.mark.parametrize("f_dm", ["0", "0.2", "0.5", "0.8", "1"])
+@pytest.mark.parametrize("deg_avg", ["1", "2.5", "3", "50"])
+def test_generated_instances_are_valid_on_the_grid(f_dm, deg_avg):
+    # generate builds its instances unvalidated, so check them here;
+    # f_dm 1 leaves no real node (n_r = 0)
+    for n in (1, 2, 5, 16, 40):
+        for seed in range(20):
+            params = GenParams(n, f_dm, deg_avg, seed)
+            inst = generate(params)
+            assert validate_instance(inst) == []
+            n_r = params.n_real
+            drawn = math.floor(n_r * min(n_r, params.deg_avg)) + (2 * params.n_dummy if n_r else 0)
+            assert len(inst.edges) == drawn  # no edge was drawn twice
 
 
 @given(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import gen, instances, mk_instance
+from conftest import gen, induced, instances, mk_instance
 from oracles import best_by_enumeration, naive_crossings
 
 from oscm_gaps.core import InputError, restrict_top
@@ -18,7 +18,7 @@ def is_dummy_independent_witness(inst, kind) -> bool:
     reals = inst.real_top_ids
     alone = heuristic_order(restrict_top(inst, reals), reals, kind)
     full = heuristic_order(inst, inst.top_ids, kind)
-    return alone.order == full.induced(reals).order
+    return alone.order == induced(full, reals).order
 
 
 class TestKeys:

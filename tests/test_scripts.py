@@ -37,6 +37,19 @@ def test_jobs_below_one_exit_2(name, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+@pytest.mark.parametrize("name", NAMES)
+def test_bad_time_budget_exit_2(name, budget, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = [name, "--instances", "1", "--time-budget-s", budget, "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        load(name).main()
+    assert exit_info.value.code == 2
+    assert "--time-budget-s must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_out_on_a_plain_file_exit_2(name, tmp_path, monkeypatch, capsys):
     out = tmp_path / "taken"
