@@ -23,7 +23,13 @@ from typing import Callable, Literal
 
 from .core import BipartiteInstance, InputError, Permutation, count_crossings, count_gaps
 from .draw import svg_line_chart
-from .exact import SolveResult, brute_force_oracle, solve_kgap_exact, solve_sidegap_exact
+from .exact import (
+    SolveResult,
+    brute_force_oracle,
+    check_time_budget,
+    solve_kgap_exact,
+    solve_sidegap_exact,
+)
 from .gap_placement import solve_kgaps, solve_sidegaps
 from .generator import GenParams, as_int, generate
 
@@ -353,6 +359,7 @@ def run_bench(
     With deterministic_times, wall_time_ms is recorded as 0 and time
     ratios are left blank, so repeated runs are byte-identical.
     """
+    check_time_budget(time_budget_s)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = config.cells()

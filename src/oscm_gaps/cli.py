@@ -34,7 +34,7 @@ from .core import (
     save_permutation,
 )
 from .draw import render_two_layer_svg
-from .exact import brute_force_oracle
+from .exact import brute_force_oracle, check_time_budget
 from .generator import GenParams, generate
 
 EXIT_INPUT_ERROR = 2
@@ -85,8 +85,10 @@ def generate_cmd(n, f_dm, deg_avg, seed, out):
 
 def _check_time_budget(ctx, param, value: float) -> float:
     # NaN passes FloatRange(min=0) and would switch the deadline off
-    if not value >= 0:
-        raise click.BadParameter(f"must be a number of seconds >= 0, got {value}")
+    try:
+        check_time_budget(value)
+    except InputError as exc:
+        raise click.BadParameter(str(exc)) from None
     return value
 
 

@@ -16,7 +16,6 @@ from itertools import repeat
 from typing import Iterable, Literal, Sequence
 
 Kind = Literal["real", "dummy"]
-Layer = Literal["bottom", "top"]
 
 
 class InputError(ValueError):
@@ -26,7 +25,6 @@ class InputError(ValueError):
 @dataclass(frozen=True)
 class Node:
     id: int
-    layer: Layer
     kind: Kind
 
 
@@ -172,10 +170,6 @@ class BipartiteInstance:
             bs = self._top_adj[d]
             out[d] = bs[0] if bs else None
         return out
-
-    @property
-    def n(self) -> int:
-        return len(self.bottom) + len(self.top)
 
     @property
     def m(self) -> int:
@@ -329,12 +323,12 @@ def instance_to_json(inst: BipartiteInstance) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _node_from_obj(obj: object, layer: Layer) -> Node:
+def _node_from_obj(obj: object, layer: str) -> Node:
     if not isinstance(obj, dict) or "id" not in obj or "kind" not in obj:
         raise InputError(f"bad {layer} node entry: {obj!r}")
     if obj["kind"] not in _KINDS:
         raise InputError(f"bad node kind: {obj['kind']!r}")
-    return Node(int(obj["id"]), layer, obj["kind"])
+    return Node(int(obj["id"]), obj["kind"])
 
 
 def instance_from_json(text: str) -> BipartiteInstance:

@@ -21,7 +21,6 @@ from typing import Literal
 from .core import (
     BipartiteInstance,
     InputError,
-    Kind,
     Permutation,
     count_crossings,
     pairwise_crossings,
@@ -39,13 +38,13 @@ class OrderingModel:
 
     `cost[i][j]` is the crossing count with node i before node j, `chain`
     lists the canonical dummy order as node indices (every dummy in a
-    k-gap model, empty in the base model), and `gap_budget` (k-1) bounds
-    the number of consecutive chain pairs a real node may separate.
-    `degrees` only steers branching.
+    k-gap model, so the real nodes are the indices off the chain; empty in
+    the base model), and `gap_budget` (k-1) bounds the number of
+    consecutive chain pairs a real node may separate. `degrees` only
+    steers branching.
     """
 
     ids: tuple[int, ...]
-    kinds: tuple[Kind, ...]
     cost: tuple[tuple[int, ...], ...]
     chain: tuple[int, ...]
     gap_budget: int | None
@@ -57,48 +56,24 @@ class OrderingModel:
         return tuple(zip(self.chain, self.chain[1:]))
 
 
-@dataclass(frozen=True)
-class LinearTerm:
-    var: str
-    coef: int
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    terms: tuple[LinearTerm, ...]
-    op: Literal["<=", "="]
-    rhs: int
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """Flat variables/objective/constraints view used for interchange."""
-
-    vars: tuple[str, ...]
-    objective: tuple[LinearTerm, ...]
-    constraints: tuple[LinearConstraint, ...]
-
-
 def build_base_oscm_model(inst: BipartiteInstance) -> OrderingModel:
     """Plain crossing-minimization model: ordering variables and
     antisymmetry/transitivity only, no dummy or gap machinery."""
-    return _build(inst, fixed=False, gap_budget=None)
+    return _build(inst, (), gap_budget=None)
 
 
 def build_kgap_model(inst: BipartiteInstance, k: int) -> OrderingModel:
     """Model with the canonical dummy order fixed and at most k gaps."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    return _build(inst, fixed=True, gap_budget=k - 1)
+    return _build(inst, canonical_dummy_order(inst).order.order, gap_budget=k - 1)
 
 
-def _build(inst: BipartiteInstance, fixed: bool, gap_budget: int | None) -> OrderingModel:
+def _build(inst: BipartiteInstance, chain: tuple[int, ...], gap_budget: int | None) -> OrderingModel:
     ids = inst.top_ids
     index = {v: i for i, v in enumerate(ids)}
-    chain = canonical_dummy_order(inst).order.order if fixed else ()
     return OrderingModel(
         ids=ids,
-        kinds=tuple(inst.top_kind[v] for v in ids),
         cost=pairwise_crossings(inst).rows,
         chain=tuple(index[d] for d in chain),
         gap_budget=gap_budget,
@@ -106,159 +81,45 @@ def _build(inst: BipartiteInstance, fixed: bool, gap_budget: int | None) -> Orde
     )
 
 
-# -- flat view, export, import ---------------------------------------------
-
-
-def _x(model: OrderingModel, i: int, j: int) -> str:
-    return f"x_{model.ids[i]}_{model.ids[j]}"
-
-
-def _g(model: OrderingModel, i: int, j: int) -> str:
-    return f"g_{model.ids[i]}_{model.ids[j]}"
-
-
-def linearize(model: OrderingModel) -> LinearModel:
-    """Materialize every constraint, including the transitivity family
-    that the solver otherwise keeps implicit."""
+def export_model(model: OrderingModel) -> str:
+    """Serialize to the documented JSON interchange schema, materializing
+    every constraint, including the transitivity family that the solver
+    otherwise keeps implicit. `x_u_v` is 1 when u precedes v; `g_a_b` is 1
+    when a real node sits between the consecutive chain dummies a and b."""
     p = len(model.ids)
-    names = [_x(model, i, j) for i in range(p) for j in range(p) if i != j]
-    g_names = [_g(model, i, j) for i, j in model.fixed_pairs]
 
-    objective = tuple(
-        LinearTerm(_x(model, i, j), model.cost[i][j])
-        for i in range(p)
-        for j in range(p)
-        if i != j
-    )
+    def x(i: int, j: int) -> str:
+        return f"x_{model.ids[i]}_{model.ids[j]}"
 
-    cons: list[LinearConstraint] = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            cons.append(
-                LinearConstraint(
-                    (LinearTerm(_x(model, i, j), 1), LinearTerm(_x(model, j, i), 1)),
-                    "=",
-                    1,
-                )
-            )
-    for i in range(p):
-        for j in range(p):
-            if j == i:
-                continue
-            for l in range(p):
-                if l == i or l == j:
-                    continue
-                cons.append(
-                    LinearConstraint(
-                        (
-                            LinearTerm(_x(model, i, j), 1),
-                            LinearTerm(_x(model, j, l), 1),
-                            LinearTerm(_x(model, i, l), -1),
-                        ),
-                        "<=",
-                        1,
-                    )
-                )
-    for i, j in model.fixed_pairs:
-        cons.append(LinearConstraint((LinearTerm(_x(model, i, j), 1),), "=", 1))
-    reals = [i for i, kind in enumerate(model.kinds) if kind == "real"]
-    for i, j in model.fixed_pairs:
-        for l in reals:
-            cons.append(
-                LinearConstraint(
-                    (
-                        LinearTerm(_x(model, i, l), 1),
-                        LinearTerm(_x(model, l, j), 1),
-                        LinearTerm(_g(model, i, j), -1),
-                    ),
-                    "<=",
-                    1,
-                )
-            )
-    if model.fixed_pairs and model.gap_budget is not None:
-        cons.append(
-            LinearConstraint(
-                tuple(LinearTerm(name, 1) for name in g_names),
-                "<=",
-                model.gap_budget,
-            )
-        )
-    return LinearModel(tuple(names + g_names), objective, tuple(cons))
+    def row(terms, op: Literal["<=", "="], rhs: int) -> dict:
+        return {"terms": [{"var": v, "coef": c} for v, c in terms], "op": op, "rhs": rhs}
 
+    pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
+    g_names = [f"g_{model.ids[i]}_{model.ids[j]}" for i, j in model.fixed_pairs]
+    on_chain = set(model.chain)
+    reals = [l for l in range(p) if l not in on_chain]
 
-def export_model(model: OrderingModel | LinearModel) -> str:
-    """Serialize to the documented JSON interchange schema."""
-    linear = linearize(model) if isinstance(model, OrderingModel) else model
+    cons = [row([(x(i, j), 1), (x(j, i), 1)], "=", 1) for i in range(p) for j in range(i + 1, p)]
+    cons += [
+        row([(x(i, j), 1), (x(j, l), 1), (x(i, l), -1)], "<=", 1)
+        for i, j in pairs
+        for l in range(p)
+        if l != i and l != j
+    ]
+    cons += [row([(x(i, j), 1)], "=", 1) for i, j in model.fixed_pairs]
+    cons += [
+        row([(x(i, l), 1), (x(l, j), 1), (g, -1)], "<=", 1)
+        for (i, j), g in zip(model.fixed_pairs, g_names)
+        for l in reals
+    ]
+    if g_names and model.gap_budget is not None:
+        cons.append(row([(g, 1) for g in g_names], "<=", model.gap_budget))
     payload = {
-        "vars": [{"name": name} for name in linear.vars],
-        "objective": [{"var": t.var, "coef": t.coef} for t in linear.objective],
-        "constraints": [
-            {
-                "terms": [{"var": t.var, "coef": t.coef} for t in c.terms],
-                "op": c.op,
-                "rhs": c.rhs,
-            }
-            for c in linear.constraints
-        ],
+        "vars": [{"name": name} for name in [x(i, j) for i, j in pairs] + g_names],
+        "objective": [{"var": x(i, j), "coef": model.cost[i][j]} for i, j in pairs],
+        "constraints": cons,
     }
     return json.dumps(payload, indent=1) + "\n"
-
-
-def import_model(text: str) -> LinearModel:
-    try:
-        payload = json.loads(text)
-        names = tuple(v["name"] for v in payload["vars"])
-        objective = tuple(
-            LinearTerm(t["var"], int(t["coef"])) for t in payload["objective"]
-        )
-        constraints = []
-        for c in payload["constraints"]:
-            if c["op"] not in ("<=", "="):
-                raise ValueError(f"bad op {c['op']!r}")
-            constraints.append(
-                LinearConstraint(
-                    tuple(LinearTerm(t["var"], int(t["coef"])) for t in c["terms"]),
-                    c["op"],
-                    int(c["rhs"]),
-                )
-            )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid model JSON: {exc}") from None
-    return LinearModel(names, objective, tuple(constraints))
-
-
-def decode_assignment(model: OrderingModel, permutation: Permutation) -> dict[str, int]:
-    """Variable assignment induced by a permutation of the model's nodes:
-    x from relative order, g from whether a real node interrupts the pair."""
-    if set(permutation.order) != set(model.ids):
-        raise InputError("permutation does not cover the model's nodes")
-    p = len(model.ids)
-    pos = [permutation.position[v] for v in model.ids]
-    out: dict[str, int] = {}
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                out[_x(model, i, j)] = 1 if pos[i] < pos[j] else 0
-    reals = [i for i, kind in enumerate(model.kinds) if kind == "real"]
-    for i, j in model.fixed_pairs:
-        lo, hi = pos[i], pos[j]
-        between = any(lo < pos[l] < hi for l in reals)
-        out[_g(model, i, j)] = 1 if between else 0
-    return out
-
-
-def evaluate_assignment(
-    linear: LinearModel, assignment: dict[str, int]
-) -> tuple[int, list[str]]:
-    """Objective value and the list of violated constraints."""
-    objective = sum(t.coef * assignment[t.var] for t in linear.objective)
-    violated: list[str] = []
-    for c in linear.constraints:
-        lhs = sum(t.coef * assignment[t.var] for t in c.terms)
-        ok = lhs <= c.rhs if c.op == "<=" else lhs == c.rhs
-        if not ok:
-            violated.append(f"{' + '.join(f'{t.coef}*{t.var}' for t in c.terms)} {c.op} {c.rhs} (lhs={lhs})")
-    return objective, violated
 
 
 def objective_value(model: OrderingModel, permutation: Permutation) -> int:
@@ -296,6 +157,14 @@ class _Timeout(Exception):
 _MEMO_CAP = 1 << 22
 
 
+def check_time_budget(time_budget_s: float) -> None:
+    """Refuse a NaN or negative budget: NaN would switch every deadline
+    test off, and a negative one would act as 0. Zero (unsearched) and inf
+    (no limit) are valid."""
+    if not time_budget_s >= 0:
+        raise InputError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
+
+
 def _root_bound(cost) -> int:
     """Sum of min(c_uv, c_vu) over all pairs: a lower bound on any order."""
     p = len(cost)
@@ -318,6 +187,7 @@ def solve_branch_and_bound(
     `nodes_explored` counts bound tests, the root's included; a budget of
     0 returns `initial` unsearched.
     """
+    check_time_budget(time_budget_s)
     if model.chain:
         raise InputError("the search takes no dummy chain; use solve_kgap_exact")
     if set(initial.order) != set(model.ids):
@@ -513,6 +383,7 @@ def solve_kgap_exact(
     optimum over the chain's cut sets, taken lazily with the deadline
     checked before each. Segments leave chain order only at equal cost, so
     refilling the dummy slots in canonical order keeps crossings and gaps."""
+    check_time_budget(time_budget_s)
     start = perf_counter()
     model = build_kgap_model(inst, k)
     best = solve_kgaps(inst, "median", k)
@@ -541,7 +412,8 @@ def _search_segments(model, segments, best, best_obj, time_budget_s) -> SolveRes
     per segment, named after its first dummy and costing the sum of its
     dummies. None when the root bound reaches `best_obj`; else the search
     from `best`, each segment at its first dummy's place, expanded back."""
-    groups = [(i,) for i, kind in enumerate(model.kinds) if kind == "real"] + segments
+    on_chain = set(model.chain)
+    groups = [(i,) for i in range(len(model.ids)) if i not in on_chain] + segments
     cost = tuple(tuple(sum(model.cost[i][j] for i in g for j in h) for h in groups) for g in groups)
     if _root_bound(cost) >= best_obj:
         return None
@@ -549,8 +421,7 @@ def _search_segments(model, segments, best, best_obj, time_budget_s) -> SolveRes
     head = {v: h for h, vs in members.items() for v in vs}
     degrees = tuple(sum(model.degrees[i] for i in g) for g in groups)
     ids = tuple(model.ids[g[0]] for g in groups)
-    kinds = tuple(model.kinds[g[0]] for g in groups)
-    contracted = OrderingModel(ids, kinds, cost, (), None, degrees)
+    contracted = OrderingModel(ids, cost, (), None, degrees)
     initial = Permutation(tuple(dict.fromkeys(head.get(v, v) for v in best.order)))
     result = solve_branch_and_bound(contracted, time_budget_s, initial)
     order = [v for h in result.permutation.order for v in members.get(h, (h,))]

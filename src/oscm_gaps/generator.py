@@ -109,10 +109,10 @@ def generate(params: GenParams) -> BipartiteInstance:
     n, n_dm, n_r = params.n, params.n_dummy, params.n_real
     rng = SplitMix64(params.seed)
 
-    bottom = [Node(i, "bottom", "real") for i in range(n_r)]
-    bottom += [Node(n_r + i, "bottom", "dummy") for i in range(n_dm)]
-    top = [Node(n + i, "top", "real") for i in range(n_r)]
-    top += [Node(n + n_r + i, "top", "dummy") for i in range(n_dm)]
+    bottom = [Node(i, "real") for i in range(n_r)]
+    bottom += [Node(n_r + i, "dummy") for i in range(n_dm)]
+    top = [Node(n + i, "real") for i in range(n_r)]
+    top += [Node(n + n_r + i, "dummy") for i in range(n_dm)]
 
     edges: list[tuple[int, int]] = []
     n_edges = math.floor(n_r * min(Fraction(n_r), params.deg_avg))

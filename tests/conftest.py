@@ -13,11 +13,11 @@ def mk_instance(bottom_kinds: str, top_kinds: str, edges, pi1=None) -> Bipartite
     """Compact builder: kinds as strings of 'r'/'d', bottom ids 0.., top
     ids 100.. in listing order."""
     bottom = [
-        Node(i, "bottom", "real" if c == "r" else "dummy")
+        Node(i, "real" if c == "r" else "dummy")
         for i, c in enumerate(bottom_kinds)
     ]
     top = [
-        Node(TOP_BASE + i, "top", "real" if c == "r" else "dummy")
+        Node(TOP_BASE + i, "real" if c == "r" else "dummy")
         for i, c in enumerate(top_kinds)
     ]
     return BipartiteInstance.build(bottom, top, edges, pi1)
@@ -46,12 +46,12 @@ def instances(draw, max_bottom=5, max_top=5, allow_dummies=True):
     n_bottom_dummy = draw(st.integers(0, 2)) if allow_dummies else 0
     n_top_dummy = draw(st.integers(0, 3)) if allow_dummies else 0
 
-    bottom = [Node(i, "bottom", "real") for i in range(n_bottom_real)]
+    bottom = [Node(i, "real") for i in range(n_bottom_real)]
     bottom += [
-        Node(n_bottom_real + i, "bottom", "dummy") for i in range(n_bottom_dummy)
+        Node(n_bottom_real + i, "dummy") for i in range(n_bottom_dummy)
     ]
-    top = [Node(TOP_BASE + i, "top", "real") for i in range(n_top_real)]
-    top += [Node(TOP_BASE + n_top_real + i, "top", "dummy") for i in range(n_top_dummy)]
+    top = [Node(TOP_BASE + i, "real") for i in range(n_top_real)]
+    top += [Node(TOP_BASE + n_top_real + i, "dummy") for i in range(n_top_dummy)]
 
     edges = set()
     for t in range(n_top_real):

@@ -7,6 +7,7 @@ library code paths it checks.
 
 from __future__ import annotations
 
+import json
 from itertools import accumulate, combinations, permutations
 from time import perf_counter
 from typing import Literal
@@ -73,6 +74,37 @@ def naive_mixed_crossings(inst: BipartiteInstance, pi2: Permutation) -> int:
         ):
             total += 1
     return total
+
+
+def evaluate_exported_ilp(
+    text: str, inst: BipartiteInstance, pi2: Permutation
+) -> tuple[int, dict[str, int], list[str]]:
+    """Read an exported ILP and evaluate it at the 0/1 assignment the top
+    order `pi2` induces, derived from the documented variable names alone:
+    `x_u_v` is 1 when u precedes v, and `g_a_b` is 1 when a real node sits
+    between the chain neighbours a and b. Returns the objective, the
+    assignment and the violated constraints."""
+    payload = json.loads(text)
+    pos = pi2.position
+    reals = [pos[v] for v in inst.real_top_ids]
+    assignment: dict[str, int] = {}
+    for var in payload["vars"]:
+        name = var["name"]
+        family, a, b = name.split("_")
+        lo, hi = pos[int(a)], pos[int(b)]
+        if family == "x":
+            assignment[name] = int(lo < hi)
+        else:
+            assert family == "g", name
+            assignment[name] = int(any(lo < r < hi for r in reals))
+    objective = sum(t["coef"] * assignment[t["var"]] for t in payload["objective"])
+    violated = []
+    for c in payload["constraints"]:
+        lhs = sum(t["coef"] * assignment[t["var"]] for t in c["terms"])
+        assert c["op"] in ("<=", "="), c
+        if not (lhs <= c["rhs"] if c["op"] == "<=" else lhs == c["rhs"]):
+            violated.append(f"{c['terms']} {c['op']} {c['rhs']} (lhs={lhs})")
+    return objective, assignment, violated
 
 
 def gap_runs(inst: BipartiteInstance, order: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -150,6 +150,22 @@ class TestRunBench:
             assert row["ratio_crossings"] == ""
             assert row["ratio_time"] == ""
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_bad_time_budget_refused_before_any_output(self, tmp_path, budget):
+        # refused before the output directory exists, not as one error
+        # row per cell
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": None,
+                "instances": 1,
+                "base_params": {"n": 12, "f_dm": "0.2", "deg_avg": 3, "seed": 1},
+                "algos": ["median_kgaps:2", "exact_kgaps:2"],
+            }
+        )
+        with pytest.raises(InputError, match="time budget"):
+            run_bench(config, tmp_path / "out", time_budget_s=budget)
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_error_rows_do_not_stop_the_harness(self, tmp_path):
         config = BenchConfig.from_dict(
             {

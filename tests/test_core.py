@@ -61,8 +61,8 @@ class TestValidate:
         with pytest.raises(InputError, match="top node 105 has degree 2"):
             mk_instance("rrrr", "rrrddd", edges)
         raw = BipartiteInstance(
-            tuple(Node(i, "bottom", "real") for i in range(4)),
-            tuple(Node(100 + i, "top", "real" if i < 3 else "dummy") for i in range(6)),
+            tuple(Node(i, "real") for i in range(4)),
+            tuple(Node(100 + i, "real" if i < 3 else "dummy") for i in range(6)),
             frozenset(edges),
             Permutation((0, 1, 2, 3)),
         )

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import time
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import gen, induced, instances, mk_instance, precedes
-from oracles import best_by_enumeration, is_side_gap_order, reference_branch_and_bound
+from oracles import (
+    best_by_enumeration,
+    evaluate_exported_ilp,
+    is_side_gap_order,
+    reference_branch_and_bound,
+)
 
 from oscm_gaps.core import (
     InputError,
@@ -20,12 +28,8 @@ from oscm_gaps.exact import (
     brute_force_oracle,
     build_base_oscm_model,
     build_kgap_model,
-    decode_assignment,
     enumerate_optima,
-    evaluate_assignment,
     export_model,
-    import_model,
-    linearize,
     objective_value,
     solve_branch_and_bound,
     solve_kgap_exact,
@@ -36,32 +40,36 @@ from oscm_gaps.gap_placement import canonical_dummy_order, solve_kgaps
 from oscm_gaps.heuristics import heuristic_order
 
 
+def exported(model):
+    return json.loads(export_model(model))
+
+
 class TestModelBuilding:
     def test_two_real_two_dummy_k1(self):
         inst = mk_instance("rr", "rrdd", [(0, 100), (1, 101), (0, 102), (1, 103)])
-        model = build_kgap_model(inst, 1)
-        linear = linearize(model)
-        g_vars = [v for v in linear.vars if v.startswith("g_")]
+        payload = exported(build_kgap_model(inst, 1))
+        g_vars = [v["name"] for v in payload["vars"] if v["name"].startswith("g_")]
         assert g_vars == ["g_102_103"]
-        budget = [c for c in linear.constraints if any(t.var.startswith("g_") for t in c.terms) and c.op == "<="
-                  and all(t.coef == 1 for t in c.terms) and len(c.terms) == 1 and c.rhs == 0]
+        budget = [c for c in payload["constraints"] if c["op"] == "<=" and c["rhs"] == 0
+                  and [(t["var"], t["coef"]) for t in c["terms"]] == [("g_102_103", 1)]]
         assert budget, "expected a gap budget of k-1 = 0"
 
     def test_no_dummies_no_gap_machinery(self):
         inst = gen(4, 0, 2, 0)
-        linear = linearize(build_kgap_model(inst, 2))
-        assert not any(v.startswith("g_") for v in linear.vars)
+        payload = exported(build_kgap_model(inst, 2))
+        assert not any(v["name"].startswith("g_") for v in payload["vars"])
         assert all(
-            all(not t.var.startswith("g_") for t in c.terms) for c in linear.constraints
+            all(not t["var"].startswith("g_") for t in c["terms"]) for c in payload["constraints"]
         )
 
     def test_three_nodes_constraint_counts(self):
         inst = gen(3, 0, 1, 0)
-        linear = linearize(build_base_oscm_model(inst))
-        assert len(linear.vars) == 6
-        transitivity = [c for c in linear.constraints if len(c.terms) == 3 and c.op == "<="]
+        payload = exported(build_base_oscm_model(inst))
+        assert len(payload["vars"]) == 6
+        constraints = payload["constraints"]
+        transitivity = [c for c in constraints if len(c["terms"]) == 3 and c["op"] == "<="]
         assert len(transitivity) == 6
-        antisymmetry = [c for c in linear.constraints if c.op == "=" and len(c.terms) == 2]
+        antisymmetry = [c for c in constraints if c["op"] == "=" and len(c["terms"]) == 2]
         assert len(antisymmetry) == 3
 
     def test_k_below_one_rejected(self):
@@ -72,31 +80,43 @@ class TestModelBuilding:
 class TestExport:
     def test_empty_model(self):
         inst = gen(1, 0, 1, 0)  # single top node: no pairs at all
-        text = export_model(build_base_oscm_model(inst))
-        linear = import_model(text)
-        assert linear.vars == ()
-        assert linear.objective == ()
-        assert linear.constraints == ()
+        assert exported(build_base_oscm_model(inst)) == {
+            "vars": [], "objective": [], "constraints": []
+        }
 
     def test_two_node_model(self):
         inst = gen(2, 0, 1, 0)
-        linear = import_model(export_model(build_base_oscm_model(inst)))
-        assert len(linear.vars) == 2
-        assert len([c for c in linear.constraints if c.op == "="]) == 1
+        payload = exported(build_base_oscm_model(inst))
+        assert len(payload["vars"]) == 2
+        assert len([c for c in payload["constraints"] if c["op"] == "="]) == 1
 
-    def test_round_trip_is_deep_equal(self):
-        inst = gen(5, 0.4, 2, 7)
-        model = build_kgap_model(inst, 2)
-        text = export_model(model)
-        imported = import_model(text)
-        assert imported == linearize(model)
-        assert export_model(imported) == text
+    def test_bytes_pinned(self):
+        # the base and k = 1..3 models over a fixed grid; the exported
+        # bytes must not change, so never re-record this digest
+        digest = hashlib.sha256()
+        for n in (1, 2, 3, 5, 7, 9):
+            for f_dm in ("0", "0.25", "0.5", "1"):
+                for seed in range(4):
+                    inst = gen(n, f_dm, 2, seed)
+                    models = [build_base_oscm_model(inst)]
+                    models += [build_kgap_model(inst, k) for k in (1, 2, 3)]
+                    for model in models:
+                        digest.update(export_model(model).encode())
+        assert digest.hexdigest() == (
+            "042a07ce9ff166ee904c58e1fc2cd8a7c248da4dd4669d415afd8c202eb85493"
+        )
 
-    def test_bad_json_rejected(self):
-        with pytest.raises(InputError):
-            import_model("{}")
-        with pytest.raises(InputError):
-            import_model('{"vars": [], "objective": [], "constraints": [{"terms": [], "op": "<", "rhs": 0}]}')
+    def test_reader_flags_infeasible_orders(self):
+        # chain 102 -> 103 (bottom positions 0, 1), k = 1
+        inst = mk_instance("rr", "rrdd", [(0, 100), (1, 101), (0, 102), (1, 103)])
+        text = export_model(build_kgap_model(inst, 1))
+        _, _, violated = evaluate_exported_ilp(text, inst, Permutation((102, 100, 103, 101)))
+        assert violated == ["[{'var': 'g_102_103', 'coef': 1}] <= 0 (lhs=1)"]
+        _, _, violated = evaluate_exported_ilp(text, inst, Permutation((103, 102, 100, 101)))
+        assert "[{'var': 'x_102_103', 'coef': 1}] = 1 (lhs=0)" in violated
+        objective, _, violated = evaluate_exported_ilp(text, inst, Permutation((102, 103, 100, 101)))
+        assert violated == []
+        assert objective == count_crossings(inst, Permutation((102, 103, 100, 101)))
 
 
 class TestBranchAndBound:
@@ -164,8 +184,7 @@ class TestBranchAndBound:
             perm = result.permutation
             assert count_gaps(inst, perm).count <= k
             assert result.objective == count_crossings(inst, perm)
-            assignment = decode_assignment(model, perm)
-            objective, violated = evaluate_assignment(linearize(model), assignment)
+            objective, _, violated = evaluate_exported_ilp(export_model(model), inst, perm)
             assert violated == []
             assert objective == result.objective
             assert objective_value(model, perm) == result.objective
@@ -174,7 +193,8 @@ class TestBranchAndBound:
         inst = gen(8, 0.5, 2, 3)
         model = build_kgap_model(inst, 2)
         perm = solve_kgap_exact(inst, 2, 30.0).permutation
-        assignment = decode_assignment(model, perm)
+        _, assignment, violated = evaluate_exported_ilp(export_model(model), inst, perm)
+        assert violated == []
         g_sum = sum(v for name, v in assignment.items() if name.startswith("g_"))
         assert count_gaps(inst, perm).count <= g_sum + 1 <= 2
 
@@ -387,6 +407,33 @@ def assert_kgap_output(inst, result, k):
     assert result.objective == count_crossings(inst, perm)
     assert count_gaps(inst, perm).count <= k
     assert induced(perm, inst.dummy_top_ids).order == canonical_dummy_order(inst).order.order
+
+
+class TestTimeBudget:
+    """A NaN budget would switch every deadline test off and a negative one
+    would act as 0, so both are refused."""
+
+    BAD = [math.nan, -1.0]
+
+    @pytest.mark.parametrize("budget", BAD)
+    def test_search_refuses(self, budget):
+        model = build_base_oscm_model(gen(12, 0.2, 3, 1))
+        with pytest.raises(InputError, match="time budget"):
+            solve_branch_and_bound(model, budget, Permutation(model.ids))
+
+    @pytest.mark.parametrize("budget", BAD)
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda inst, budget: solve_kgap_exact(inst, 2, budget),
+            solve_sidegap_exact,
+            solve_unrestricted_exact,
+        ],
+        ids=["kgap", "sidegap", "unrestricted"],
+    )
+    def test_pipelines_refuse(self, solve, budget):
+        with pytest.raises(InputError, match="time budget"):
+            solve(gen(12, 0.2, 3, 1), budget)
 
 
 class TestKgapCutSets:
