@@ -30,6 +30,7 @@ from .core import (
     count_gaps,
     load_instance,
     load_permutation,
+    read_input,
     save_instance,
     save_permutation,
 )
@@ -179,7 +180,7 @@ def oracle(instance, mode, k, out):
 def bench(config_path, out_dir, jobs, time_budget_s, deterministic_times):
     """Run a benchmark matrix; writes results.csv and SVG plots."""
     if config_path:
-        config = BenchConfig.from_json(Path(config_path).read_text(encoding="utf-8"))
+        config = BenchConfig.from_json(read_input(config_path))
     else:
         config = BenchConfig.default()
     csv_path, plots = run_bench(

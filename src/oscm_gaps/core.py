@@ -346,9 +346,17 @@ def instance_from_json(text: str) -> BipartiteInstance:
     return BipartiteInstance.build(bottom, top, edges, pi1)
 
 
+def read_input(path: str) -> str:
+    """The text of a UTF-8 input file; other bytes are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_instance(path: str) -> BipartiteInstance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+    return instance_from_json(read_input(path))
 
 
 def save_instance(inst: BipartiteInstance, path: str) -> None:
@@ -369,8 +377,7 @@ def permutation_from_json(text: str) -> Permutation:
 
 
 def load_permutation(path: str) -> Permutation:
-    with open(path, encoding="utf-8") as fh:
-        return permutation_from_json(fh.read())
+    return permutation_from_json(read_input(path))
 
 
 def save_permutation(pi: Permutation, path: str) -> None:

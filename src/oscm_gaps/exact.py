@@ -13,8 +13,10 @@ chain into min(k, d) segments, each searched as one node.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import combinations, pairwise
+from itertools import accumulate, combinations, pairwise
+from operator import add, getitem, sub
 from time import perf_counter
 from typing import Literal
 
@@ -165,10 +167,13 @@ def check_time_budget(time_budget_s: float) -> None:
         raise InputError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
 
 
-def _root_bound(cost) -> int:
-    """Sum of min(c_uv, c_vu) over all pairs: a lower bound on any order."""
-    p = len(cost)
-    return sum(min(cost[i][j], cost[j][i]) for i in range(p) for j in range(i + 1, p))
+def _root_bound(cost, start: int = 0) -> int:
+    """Sum of min(c_uv, c_vu) over the pairs u < v with v >= `start`; over
+    all pairs, it is a lower bound on any order."""
+    return sum(
+        sum(map(min, row[max(u + 1, start) :], col[max(u + 1, start) :]))
+        for u, (row, col) in enumerate(zip(cost, zip(*cost)))
+    )
 
 
 def solve_branch_and_bound(
@@ -180,8 +185,9 @@ def solve_branch_and_bound(
     The bound at a prefix is the cost among placed pairs, plus the forced
     cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
     pairs. Placing u next adds `extra[u][v] = c_uv - min(c_uv, c_vu)` for
-    each unplaced v, so each child's bound is tested in its parent as the
-    parent's bound plus that sum, before any state is built for it. A memo
+    each unplaced v. Each node keeps that sum per unplaced node in a vector
+    `esum`, so a child's bound is tested in its parent in O(1), as the
+    parent's bound plus `esum[u]`, before any state is built for it. A memo
     of best-known prefix cost per placed set removes dominated revisits.
     It refuses a chained model: `solve_kgap_exact` reduces the chain away.
     `nodes_explored` counts bound tests, the root's included; a budget of
@@ -205,10 +211,11 @@ def solve_branch_and_bound(
     index = {v: i for i, v in enumerate(model.ids)}
     best_order = [index[v] for v in initial.order]
 
-    extra = [
-        [c - min(c, cost[v][u]) for v, c in enumerate(row)] for u, row in enumerate(cost)
-    ]
-    extra_at = [row.__getitem__ for row in extra]
+    extra = [list(map(sub, row, map(min, row, col))) for row, col in zip(cost, zip(*cost))]
+    extra_col = list(zip(*extra))
+    esum = list(map(sum, extra))
+    # each pair has c_uv + c_vu = 2 min(c_uv, c_vu) + extra[u][v] + extra[v][u]
+    root_bound = (sum(map(sum, cost)) - sum(map(getitem, cost, range(p))) - sum(esum)) // 2
     static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
 
     prefix: list[int] = []
@@ -216,17 +223,17 @@ def solve_branch_and_bound(
     nodes = 1  # the root's bound test
     deadline = start + time_budget_s
 
-    def dfs(acc, bound, mask, unplaced, add) -> None:
+    def dfs(acc, bound, mask, unplaced, forced, esum) -> None:
         """Visit the children of a node: its prefix costs `acc`, and its
-        `unplaced` nodes, in branching order, have forced costs `add`
-        against the prefix."""
+        `unplaced` nodes, in branching order, have forced costs `forced`
+        against the prefix and extras `esum` against each other."""
         nonlocal best_obj, best_order, nodes
         leaf = len(unplaced) == 1
         for i, u in enumerate(unplaced):
             nodes += 1
             if nodes & 1023 == 0 and perf_counter() > deadline:
                 raise _Timeout
-            child_bound = bound + sum(map(extra_at[u], unplaced))
+            child_bound = bound + esum[u]
             if leaf:
                 # a full permutation's bound is its cost, and its parent's
                 # equal bound passed the test against the incumbent
@@ -234,7 +241,7 @@ def solve_branch_and_bound(
                 continue
             if child_bound >= best_obj:
                 continue
-            acc2 = acc + add[u]
+            acc2 = acc + forced[u]
             mask2 = mask | (1 << u)
             prev = memo.get(mask2)
             if prev is not None and prev <= acc2:
@@ -243,16 +250,21 @@ def solve_branch_and_bound(
                 memo[mask2] = acc2
 
             rest = unplaced[:i] + unplaced[i + 1 :]
-            forced = [a + c for a, c in zip(add, cost[u])]
             prefix.append(u)
-            dfs(acc2, child_bound, mask2, rest, forced)
+            dfs(
+                acc2,
+                child_bound,
+                mask2,
+                rest,
+                list(map(add, forced, cost[u])),
+                list(map(sub, esum, extra_col[u])),
+            )
             prefix.pop()
 
     status: Literal["optimal", "timeout_incumbent"] = "optimal"
-    root_bound = _root_bound(cost)
     if root_bound < best_obj:
         try:
-            dfs(0, root_bound, 0, static_order, [0] * p)
+            dfs(0, root_bound, 0, static_order, [0] * p, esum)
         except _Timeout:
             status = "timeout_incumbent"
 
@@ -389,13 +401,14 @@ def solve_kgap_exact(
     best = solve_kgaps(inst, "median", k)
     best_obj = objective_value(model, best)
     chain, d = model.chain, len(model.chain)
+    contract = _cut_set_contraction(model)
     status, nodes = "optimal", 0
     for cuts in combinations(range(1, d), min(k, d) - 1) if d else [()]:
         if (remaining := start + time_budget_s - perf_counter()) <= 0:
             status = "timeout_incumbent"
             break
-        segments = [chain[a:b] for a, b in pairwise((0, *cuts, d))] if d else []
-        result = _search_segments(model, segments, best, best_obj, remaining)
+        bounds = list(pairwise((0, *cuts, d))) if d else []
+        result = _search_segments(model, contract, bounds, best, best_obj, remaining)
         if result is not None:
             nodes += result.nodes_explored
             if result.objective < best_obj:
@@ -407,21 +420,63 @@ def solve_kgap_exact(
     return SolveResult(status, Permutation(order), best_obj, perf_counter() - start, nodes)
 
 
-def _search_segments(model, segments, best, best_obj, time_budget_s) -> SolveResult | None:
-    """Search one cut set of the k-gap `model`: its real nodes and one node
-    per segment, named after its first dummy and costing the sum of its
-    dummies. None when the root bound reaches `best_obj`; else the search
-    from `best`, each segment at its first dummy's place, expanded back."""
-    on_chain = set(model.chain)
-    groups = [(i,) for i in range(len(model.ids)) if i not in on_chain] + segments
-    cost = tuple(tuple(sum(model.cost[i][j] for i in g for j in h) for h in groups) for g in groups)
-    if _root_bound(cost) >= best_obj:
+def _cut_set_contraction(
+    model: OrderingModel,
+) -> Callable[[list[tuple[int, int]]], tuple[OrderingModel, int]]:
+    """The contraction of the k-gap `model` for one cut set, as a function
+    of the segments' chain slices `bounds`: the chain-free model of its
+    real nodes and one node per segment, named after its first dummy, whose
+    costs and degree sum its dummies', and that model's root bound.
+
+    Each row is kept with its chain columns as prefix sums, and the chain
+    rows as column-wise prefix sums, so every entry that involves a
+    segment is one difference."""
+    chain = model.chain
+    on_chain = set(chain)
+    reals = [i for i in range(len(model.ids)) if i not in on_chain]
+    r = len(reals)
+
+    def prefixed(row) -> list[int]:
+        return [row[j] for j in reals] + list(accumulate((row[c] for c in chain), initial=0))
+
+    rows = [prefixed(model.cost[i]) for i in reals]
+    chain_rows = list(
+        accumulate(
+            (prefixed(model.cost[c]) for c in chain),
+            lambda total, row: list(map(add, total, row)),
+            initial=[0] * (r + len(chain) + 1),
+        )
+    )
+    real_root = _root_bound([row[:r] for row in rows])
+    real_ids = [model.ids[i] for i in reals]
+    real_degrees = [model.degrees[i] for i in reals]
+    chain_degrees = list(accumulate((model.degrees[c] for c in chain), initial=0))
+
+    def contract(bounds) -> tuple[OrderingModel, int]:
+        segment_rows = [list(map(sub, chain_rows[b], chain_rows[a])) for a, b in bounds]
+        cost = tuple(
+            tuple(row[:r] + [row[r + b] - row[r + a] for a, b in bounds])
+            for row in rows + segment_rows
+        )
+        ids = tuple(real_ids + [model.ids[chain[a]] for a, _ in bounds])
+        degrees = tuple(real_degrees + [chain_degrees[b] - chain_degrees[a] for a, b in bounds])
+        # the pairs of real nodes are the same in every cut set
+        return OrderingModel(ids, cost, (), None, degrees), real_root + _root_bound(cost, r)
+
+    return contract
+
+
+def _search_segments(model, contract, bounds, best, best_obj, time_budget_s) -> SolveResult | None:
+    """Search one cut set of the k-gap `model`, its segments given as chain
+    slices `bounds`, through its contraction. None when the root bound
+    reaches `best_obj`; else the search from `best`, each segment at its
+    first dummy's place, expanded back."""
+    contracted, root_bound = contract(bounds)
+    if root_bound >= best_obj:
         return None
-    members = {model.ids[g[0]]: [model.ids[i] for i in g] for g in segments}
+    chain, ids = model.chain, model.ids
+    members = {ids[chain[a]]: [ids[c] for c in chain[a:b]] for a, b in bounds}
     head = {v: h for h, vs in members.items() for v in vs}
-    degrees = tuple(sum(model.degrees[i] for i in g) for g in groups)
-    ids = tuple(model.ids[g[0]] for g in groups)
-    contracted = OrderingModel(ids, cost, (), None, degrees)
     initial = Permutation(tuple(dict.fromkeys(head.get(v, v) for v in best.order)))
     result = solve_branch_and_bound(contracted, time_budget_s, initial)
     order = [v for h in result.permutation.order for v in members.get(h, (h,))]

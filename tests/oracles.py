@@ -262,6 +262,19 @@ def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: i
     return Permutation(tuple(merged)), dp[k][n_real][n_dummy]
 
 
+def reference_contraction(model: OrderingModel, segments: list[tuple[int, ...]]):
+    """The k-gap model contracted for one cut set, entry by entry: its real
+    nodes, then one node per segment (a tuple of chain indices), each entry
+    the sum of its members' pair costs; and the contracted model's sum of
+    min(c_uv, c_vu) over all pairs."""
+    on_chain = set(model.chain)
+    groups = [(i,) for i in range(len(model.ids)) if i not in on_chain] + segments
+    cost = tuple(tuple(sum(model.cost[i][j] for i in g for j in h) for h in groups) for g in groups)
+    p = len(groups)
+    root_bound = sum(min(cost[i][j], cost[j][i]) for i in range(p) for j in range(i + 1, p))
+    return cost, root_bound
+
+
 def reference_branch_and_bound(
     model: OrderingModel,
     time_budget_s: float = 300.0,

@@ -320,3 +320,32 @@ class TestDraw:
         perm_path.write_text(json.dumps({"order": [1, 2, 3]}))
         result = invoke(runner, "draw", inst_path, perm_path, "--out", tmp_path / "x.svg")
         assert result.exit_code == 2
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is bad input, whichever command reads it."""
+
+    BYTES = b"\xff\xfe{\x00}\x00"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "{bad}", "--algo", "median_sidegaps", "--out", "{tmp}/p.json"],
+            ["oracle", "{bad}"],
+            ["draw", "{bad}", "{perm}", "--out", "{tmp}/x.svg"],
+            ["draw", "{inst}", "{bad}", "--out", "{tmp}/x.svg"],
+            ["bench", "--config", "{bad}", "--out", "{tmp}/out"],
+        ],
+        ids=["solve", "oracle", "draw_instance", "draw_permutation", "bench_config"],
+    )
+    def test_exit_2(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.BYTES)
+        inst_path, perm_path = tmp_path / "inst.json", tmp_path / "perm.json"
+        invoke(runner, "generate", "--n", 3, "--out", inst_path)
+        invoke(runner, "solve", inst_path, "--algo", "median_sidegaps", "--out", perm_path)
+        paths = {"bad": bad, "tmp": tmp_path, "inst": inst_path, "perm": perm_path}
+        result = invoke(runner, *[arg.format(**paths) for arg in command])
+        assert result.exit_code == 2, result.output
+        assert "input error" in result.output
+        assert "not UTF-8 text" in result.output

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+from itertools import combinations, islice, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from oracles import (
     evaluate_exported_ilp,
     is_side_gap_order,
     reference_branch_and_bound,
+    reference_contraction,
 )
 
 from oscm_gaps.core import (
@@ -25,6 +27,7 @@ from oscm_gaps.core import (
     restrict_top,
 )
 from oscm_gaps.exact import (
+    _cut_set_contraction,
     brute_force_oracle,
     build_base_oscm_model,
     build_kgap_model,
@@ -249,6 +252,31 @@ class TestMatchesReferenceSearch:
             assert_same_kgap_optimum(inst, k, solve_kgaps(inst, "median", k))
         assert_same_kgap_optimum(inst, 2, None)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_deep_base_model(self, seed):
+        # 24 nodes: the maintained vectors are checked 24 levels deep
+        inst = gen(24, "0.2", 3, seed)
+        model = build_base_oscm_model(inst)
+        assert len(model.ids) == 24
+        assert_same_search(model, Permutation(model.ids))
+        assert_same_search(model, heuristic_order(inst, inst.top_ids, "median"))
+
+    def test_desk_sweeps_node_total(self):
+        """Summed nodes of the exact solves in the cells of the benchmark's
+        desk_sweeps workload on its seed 1, recorded before the search kept
+        its per-node extras vector and not to be re-recorded: the search
+        makes the same moves as it did."""
+        cells = [(16, seed, k) for seed in range(2, 22) for k in range(1, 6)]
+        cells += [(n, seed, 2) for n in (8, 12, 16, 20) for seed in range(2, 22)]
+        kgap = sum(solve_kgap_exact(gen(n, "0.2", 3, s), k, 60.0).nodes_explored for n, s, k in cells)
+        sidegap = sum(
+            solve_sidegap_exact(gen(n, "0.2", 3, s), 60.0).nodes_explored
+            for n in (8, 12, 16, 20)
+            for s in range(2, 22)
+        )
+        assert (kgap, sidegap) == (260_545, 53_648)
+        assert kgap + sidegap == 314_193
+
     @pytest.mark.parametrize("with_incumbent", [False, True])
     def test_zero_budget(self, with_incumbent):
         inst = gen(12, "0.2", 3, 1)
@@ -449,6 +477,37 @@ class TestKgapCutSets:
             assert result.status == "optimal"
             assert result.objective == optima[("kgap", k)][1]
             assert_kgap_output(inst, result, k)
+
+    @staticmethod
+    def assert_contractions_match(model, cut_sets):
+        """The prefix-sum contraction of each cut set equals the per-entry
+        one, root bound, names and degrees included."""
+        contract = _cut_set_contraction(model)
+        chain, d = model.chain, len(model.chain)
+        reals = [i for i in range(len(model.ids)) if i not in set(chain)]
+        for cuts in cut_sets:
+            bounds = list(pairwise((0, *cuts, d))) if d else []
+            segments = [chain[a:b] for a, b in bounds]
+            contracted, root_bound = contract(bounds)
+            assert (contracted.cost, root_bound) == reference_contraction(model, segments)
+            groups = [(i,) for i in reals] + segments
+            assert contracted.ids == tuple(model.ids[g[0]] for g in groups)
+            assert contracted.degrees == tuple(sum(model.degrees[i] for i in g) for g in groups)
+            assert contracted.chain == ()
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_contraction_matches_per_entry_sums(self, inst):
+        for k in (1, 2, 3, 4):
+            model = build_kgap_model(inst, k)
+            d = len(model.chain)
+            cut_sets = combinations(range(1, d), min(k, d) - 1) if d else [()]
+            self.assert_contractions_match(model, cut_sets)
+
+    def test_contraction_matches_per_entry_sums_at_n60(self):
+        model = build_kgap_model(gen(60, "0.5", 3, 1), 5)
+        assert len(model.chain) == 30
+        self.assert_contractions_match(model, islice(combinations(range(1, 30), 4), 200))
 
     @pytest.mark.parametrize("seed, optimum", [(1, 1286), (2, 1166), (3, 1264)])
     def test_paper_scale_one_gap(self, seed, optimum):
