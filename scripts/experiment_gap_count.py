@@ -16,6 +16,7 @@ import sys
 
 from oscm_gaps.bench import BenchConfig, run_bench
 from oscm_gaps.core import InputError
+from oscm_gaps.exact import DEFAULT_TIME_BUDGET_S
 
 
 def main() -> int:
@@ -24,7 +25,7 @@ def main() -> int:
     parser.add_argument("--instances", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--time-budget-s", type=float, default=300.0)
+    parser.add_argument("--time-budget-s", type=float, default=DEFAULT_TIME_BUDGET_S)
     parser.add_argument(
         "--paper-scale",
         action="store_true",

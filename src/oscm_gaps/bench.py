@@ -21,9 +21,10 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Literal
 
-from .core import BipartiteInstance, InputError, Permutation, count_crossings, count_gaps
+from .core import BipartiteInstance, InputError, Permutation, as_int, count_crossings, count_gaps
 from .draw import svg_line_chart
 from .exact import (
+    DEFAULT_TIME_BUDGET_S,
     SolveResult,
     brute_force_oracle,
     check_time_budget,
@@ -31,7 +32,7 @@ from .exact import (
     solve_sidegap_exact,
 )
 from .gap_placement import solve_kgaps, solve_sidegaps
-from .generator import GenParams, as_int, generate
+from .generator import GenParams, generate
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class AlgoSpec:
 
 
 def solve_with(
-    inst: BipartiteInstance, spec: AlgoSpec, time_budget_s: float = 300.0
+    inst: BipartiteInstance, spec: AlgoSpec, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> tuple[Permutation, str]:
     """Run the registry entry of `spec`; returns (permutation, status)."""
     if spec.needs_k and spec.k is None:
@@ -236,11 +237,11 @@ class BenchConfig:
         sweep = payload.get("sweep_param")
         if sweep is not None and sweep not in _SWEEPABLE:
             raise InputError(f"sweep_param must be one of {', '.join(_SWEEPABLE)}; got {sweep!r}")
-        values = payload.get("values") or [None]
+        values = payload.get("values")
         if sweep is None:
             values = [None]
-        elif not isinstance(values, list):
-            raise InputError(f"values must be a list, got {values!r}")
+        elif not isinstance(values, list) or not values:
+            raise InputError(f"values must be a non-empty list, got {values!r}")
         elif sweep == "k":
             values = [as_int(v, "k") for v in values]
             if min(values) < 1:
@@ -351,7 +352,7 @@ def run_bench(
     config: BenchConfig,
     out_dir: str | Path,
     jobs: int = 1,
-    time_budget_s: float = 300.0,
+    time_budget_s: float = DEFAULT_TIME_BUDGET_S,
     deterministic_times: bool = False,
 ) -> tuple[Path, list[Path]]:
     """Run the full matrix; returns (csv path, plot paths).
@@ -360,9 +361,9 @@ def run_bench(
     ratios are left blank, so repeated runs are byte-identical.
     """
     check_time_budget(time_budget_s)
+    cells = config.cells()  # refuses a bad config before any output exists
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = config.cells()
     work = [(params, spec, time_budget_s) for _, _, params, spec in cells]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:

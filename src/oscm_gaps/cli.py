@@ -35,7 +35,7 @@ from .core import (
     save_permutation,
 )
 from .draw import render_two_layer_svg
-from .exact import brute_force_oracle, check_time_budget
+from .exact import DEFAULT_TIME_BUDGET_S, brute_force_oracle, check_time_budget
 from .generator import GenParams, generate
 
 EXIT_INPUT_ERROR = 2
@@ -96,7 +96,7 @@ def _check_time_budget(ctx, param, value: float) -> float:
 _time_budget_option = click.option(
     "--time-budget-s",
     type=float,
-    default=300.0,
+    default=DEFAULT_TIME_BUDGET_S,
     show_default=True,
     callback=_check_time_budget,
     help="Per exact solve; 0 returns the incumbent unsearched, inf sets no limit.",

@@ -11,6 +11,7 @@ import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Literal, Sequence
@@ -20,6 +21,26 @@ Kind = Literal["real", "dummy"]
 
 class InputError(ValueError):
     """Malformed caller input: unknown ids, bad files, bad parameters."""
+
+
+def _as_fraction(value: int | float | str | Fraction, name: str) -> Fraction:
+    # Floats go through str() so "0.3" means 3/10, not the nearest binary
+    # float; n_dm = floor(n * f_dm) must match the decimal the user typed.
+    if isinstance(value, bool):  # Python would read a JSON true or false as 1 or 0
+        raise InputError(f"bad {name}: {value!r} (a boolean is not a number)")
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {name}: {value!r} ({exc})") from None
+
+
+def as_int(value: int | float | str, name: str) -> int:
+    """`value` as an integer; integral floats and numeric strings pass,
+    anything else (2.7, "abc", None, True) is an input error."""
+    number = _as_fraction(value, name)
+    if number.denominator != 1:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -161,15 +182,6 @@ class BipartiteInstance:
             if kind[t] == "real":
                 deg[b] += 1
         return deg
-
-    @cached_property
-    def dummy_neighbor(self) -> dict[int, int | None]:
-        """Dummy top id -> its unique bottom neighbor (None if degree 0)."""
-        out: dict[int, int | None] = {}
-        for d in self.dummy_top_ids:
-            bs = self._top_adj[d]
-            out[d] = bs[0] if bs else None
-        return out
 
     @property
     def m(self) -> int:
@@ -328,7 +340,7 @@ def _node_from_obj(obj: object, layer: str) -> Node:
         raise InputError(f"bad {layer} node entry: {obj!r}")
     if obj["kind"] not in _KINDS:
         raise InputError(f"bad node kind: {obj['kind']!r}")
-    return Node(int(obj["id"]), obj["kind"])
+    return Node(as_int(obj["id"], f"{layer} node id"), obj["kind"])
 
 
 def instance_from_json(text: str) -> BipartiteInstance:
@@ -339,8 +351,8 @@ def instance_from_json(text: str) -> BipartiteInstance:
     try:
         bottom = [_node_from_obj(o, "bottom") for o in payload["bottom"]]
         top = [_node_from_obj(o, "top") for o in payload["top"]]
-        edges = [(int(b), int(t)) for b, t in payload["edges"]]
-        pi1 = [int(v) for v in payload["pi1"]]
+        edges = [(as_int(b, "edge end"), as_int(t, "edge end")) for b, t in payload["edges"]]
+        pi1 = [as_int(v, "pi1 id") for v in payload["pi1"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid instance JSON: {exc}") from None
     return BipartiteInstance.build(bottom, top, edges, pi1)
@@ -371,7 +383,7 @@ def permutation_to_json(pi: Permutation) -> str:
 def permutation_from_json(text: str) -> Permutation:
     try:
         payload = json.loads(text)
-        return Permutation(tuple(int(v) for v in payload["order"]))
+        return Permutation(tuple(as_int(v, "permutation id") for v in payload["order"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid permutation JSON: {exc}") from None
 

@@ -32,6 +32,7 @@ from .gap_placement import canonical_dummy_order, side_gap_merge, solve_kgaps
 from .heuristics import heuristic_order
 
 ORACLE_NODE_LIMIT = 9
+DEFAULT_TIME_BUDGET_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def build_kgap_model(inst: BipartiteInstance, k: int) -> OrderingModel:
     """Model with the canonical dummy order fixed and at most k gaps."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    return _build(inst, canonical_dummy_order(inst).order.order, gap_budget=k - 1)
+    return _build(inst, canonical_dummy_order(inst).order, gap_budget=k - 1)
 
 
 def _build(inst: BipartiteInstance, chain: tuple[int, ...], gap_budget: int | None) -> OrderingModel:
@@ -179,8 +180,8 @@ def _root_bound(cost, start: int = 0) -> int:
 def solve_branch_and_bound(
     model: OrderingModel, time_budget_s: float, initial: Permutation
 ) -> SolveResult:
-    """Depth-first search over permutation prefixes with incremental cost,
-    starting from the incumbent `initial`, an order of the model's nodes.
+    """Depth-first search over permutation prefixes, starting from the
+    incumbent `initial`, an order of the model's nodes.
 
     The bound at a prefix is the cost among placed pairs, plus the forced
     cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
@@ -188,7 +189,9 @@ def solve_branch_and_bound(
     each unplaced v. Each node keeps that sum per unplaced node in a vector
     `esum`, so a child's bound is tested in its parent in O(1), as the
     parent's bound plus `esum[u]`, before any state is built for it. A memo
-    of best-known prefix cost per placed set removes dominated revisits.
+    of the best bound per placed set removes dominated revisits: for a
+    fixed placed set the bound exceeds the prefix cost by a term of that
+    set alone, so a lower bound there is a cheaper prefix of the same set.
     It refuses a chained model: `solve_kgap_exact` reduces the chain away.
     `nodes_explored` counts bound tests, the root's included; a budget of
     0 returns `initial` unsearched.
@@ -219,14 +222,14 @@ def solve_branch_and_bound(
     static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
 
     prefix: list[int] = []
-    memo: dict[int, int] = {0: 0}
+    memo: dict[int, int] = {0: root_bound}
     nodes = 1  # the root's bound test
     deadline = start + time_budget_s
 
-    def dfs(acc, bound, mask, unplaced, forced, esum) -> None:
-        """Visit the children of a node: its prefix costs `acc`, and its
-        `unplaced` nodes, in branching order, have forced costs `forced`
-        against the prefix and extras `esum` against each other."""
+    def dfs(bound, mask, unplaced, esum) -> None:
+        """Visit the children of a node: its placed set is `mask`, and its
+        `unplaced` nodes, in branching order, have extras `esum` against
+        each other."""
         nonlocal best_obj, best_order, nodes
         leaf = len(unplaced) == 1
         for i, u in enumerate(unplaced):
@@ -241,22 +244,18 @@ def solve_branch_and_bound(
                 continue
             if child_bound >= best_obj:
                 continue
-            acc2 = acc + forced[u]
             mask2 = mask | (1 << u)
             prev = memo.get(mask2)
-            if prev is not None and prev <= acc2:
+            if prev is not None and prev <= child_bound:
                 continue
             if prev is not None or len(memo) < _MEMO_CAP:
-                memo[mask2] = acc2
+                memo[mask2] = child_bound
 
-            rest = unplaced[:i] + unplaced[i + 1 :]
             prefix.append(u)
             dfs(
-                acc2,
                 child_bound,
                 mask2,
-                rest,
-                list(map(add, forced, cost[u])),
+                unplaced[:i] + unplaced[i + 1 :],
                 list(map(sub, esum, extra_col[u])),
             )
             prefix.pop()
@@ -264,7 +263,7 @@ def solve_branch_and_bound(
     status: Literal["optimal", "timeout_incumbent"] = "optimal"
     if root_bound < best_obj:
         try:
-            dfs(0, root_bound, 0, static_order, [0] * p, esum)
+            dfs(root_bound, 0, static_order, esum)
         except _Timeout:
             status = "timeout_incumbent"
 
@@ -378,7 +377,7 @@ def brute_force_oracle(
 
 
 def solve_unrestricted_exact(
-    inst: BipartiteInstance, time_budget_s: float = 300.0
+    inst: BipartiteInstance, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> SolveResult:
     """Exact optimum over all top permutations (no gap constraint)."""
     start = perf_counter()
@@ -389,7 +388,7 @@ def solve_unrestricted_exact(
 
 
 def solve_kgap_exact(
-    inst: BipartiteInstance, k: int, time_budget_s: float = 300.0
+    inst: BipartiteInstance, k: int, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> SolveResult:
     """Exact optimum over permutations with at most k gaps: the best
     optimum over the chain's cut sets, taken lazily with the deadline
@@ -484,7 +483,7 @@ def _search_segments(model, contract, bounds, best, best_obj, time_budget_s) -> 
 
 
 def solve_sidegap_exact(
-    inst: BipartiteInstance, time_budget_s: float = 300.0
+    inst: BipartiteInstance, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> SolveResult:
     """Exact optimum over side-gap permutations: the unrestricted optimum
     of the real nodes, with the dummies then placed into side gaps (the

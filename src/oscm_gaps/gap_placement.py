@@ -17,7 +17,6 @@ wins ties, else the smallest split j' reaching the minimum.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
@@ -25,23 +24,19 @@ from .core import BipartiteInstance, InputError, Permutation, concatenate
 from .heuristics import HeuristicKind, heuristic_order
 
 
-@dataclass(frozen=True)
-class CanonicalDummyOrder:
-    """Dummies sorted ascending by their neighbor's bottom position
-    (ties by id); edge-less dummies sort first with position -1."""
-
-    order: Permutation
-    neighbor_pos: dict[int, int]
+def _dummy_position(inst: BipartiteInstance, d: int) -> int:
+    """The bottom position of dummy d's one neighbor; -1 for an edge-less
+    dummy, which crosses nothing."""
+    positions = inst.neighbor_positions[d]
+    return positions[0] if positions else -1
 
 
-def canonical_dummy_order(inst: BipartiteInstance) -> CanonicalDummyOrder:
-    pos1 = inst.pi1.position
-    neighbor_pos: dict[int, int] = {}
-    for d in inst.dummy_top_ids:
-        b = inst.dummy_neighbor[d]
-        neighbor_pos[d] = -1 if b is None else pos1[b]
-    order = sorted(neighbor_pos, key=lambda d: (neighbor_pos[d], d))
-    return CanonicalDummyOrder(Permutation(tuple(order)), neighbor_pos)
+def canonical_dummy_order(inst: BipartiteInstance) -> Permutation:
+    """Dummies sorted ascending by `_dummy_position` (ties by id), so
+    edge-less dummies come first."""
+    return Permutation(
+        tuple(sorted(inst.dummy_top_ids, key=lambda d: (_dummy_position(inst, d), d)))
+    )
 
 
 def _check_real_order(inst: BipartiteInstance, real_order: Permutation) -> None:
@@ -61,15 +56,14 @@ def side_gap_merge(inst: BipartiteInstance, real_order: Permutation) -> Permutat
     canonical order and are sent left, keeping the split a prefix.
     """
     _check_real_order(inst, real_order)
-    canonical = canonical_dummy_order(inst)
-    dummies = canonical.order.order
+    dummies = canonical_dummy_order(inst).order
 
     degs = [inst.bottom_real_degree[b] for b in inst.pi1.order]
     prefix = [0, *accumulate(degs)]
     total = prefix[-1]
 
     def prefers_left(d: int) -> bool:
-        q = canonical.neighbor_pos[d]
+        q = _dummy_position(inst, d)
         if q < 0:
             left, right = 0, total
         else:
@@ -93,12 +87,8 @@ def block_cost_tables(
     boundary: rows[i][j] sums, over the first j dummies, the cost of
     sitting after the first i real nodes and before the rest; the cost of
     block (j'+1..j) at real boundary i is rows[i][j] - rows[i][j']."""
-    pos1 = inst.pi1.position
     neigh = inst.neighbor_positions
-    q = [
-        -1 if inst.dummy_neighbor[d] is None else pos1[inst.dummy_neighbor[d]]
-        for d in dummy_order.order
-    ]
+    q = [_dummy_position(inst, d) for d in dummy_order.order]
 
     # A dummy at boundary 0 crosses every real-incident edge left of its
     # neighbor. Moving real node r from after the dummy to before it adds
@@ -167,7 +157,7 @@ def k_gap_merge(
     if not inst.dummy_top_ids:
         return Permutation(real_order.order), 0
 
-    dummy_order = canonical_dummy_order(inst).order
+    dummy_order = canonical_dummy_order(inst)
     dummies = dummy_order.order
     n_real, n_dummy = len(real_order), len(dummies)
     costs = block_cost_tables(inst, real_order, dummy_order)

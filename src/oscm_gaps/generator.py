@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BipartiteInstance, InputError, Node, Permutation
+from .core import BipartiteInstance, InputError, Node, Permutation, _as_fraction, as_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -39,24 +39,6 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
-
-
-def _as_fraction(value: int | float | str | Fraction, name: str) -> Fraction:
-    # Floats go through str() so "0.3" means 3/10, not the nearest binary
-    # float; n_dm = floor(n * f_dm) must match the decimal the user typed.
-    try:
-        return Fraction(str(value) if isinstance(value, float) else value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad {name}: {value!r} ({exc})") from None
-
-
-def as_int(value: int | float | str, name: str) -> int:
-    """`value` as an integer; integral floats and numeric strings pass,
-    anything else (2.7, "abc", None) is an input error."""
-    number = _as_fraction(value, name)
-    if number.denominator != 1:
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(number)
 
 
 @dataclass(frozen=True)

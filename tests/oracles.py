@@ -200,7 +200,9 @@ def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: i
     nodes). Same tie rule: advancing to boundary i-1 wins ties, else the
     smallest split j' reaching the minimum. Returns (permutation, mixed)."""
     pos1 = inst.pi1.position
-    neighbor = inst.dummy_neighbor
+    kind = inst.top_kind
+    neighbor = dict.fromkeys(inst.dummy_top_ids)  # None for an edge-less dummy
+    neighbor.update((t, b) for b, t in inst.edges if kind[t] == "dummy")
     q_of = {d: -1 if neighbor[d] is None else pos1[neighbor[d]] for d in inst.dummy_top_ids}
     dummies = sorted(q_of, key=lambda d: (q_of[d], d))
     reals = real_order.order

@@ -111,7 +111,7 @@ def _merge_minima_by_enumeration(inst, real_order, kmax):
     from oracles import all_bounded_gap_merges
 
     kind = inst.top_kind
-    dummy_order = canonical_dummy_order(inst).order.order
+    dummy_order = canonical_dummy_order(inst).order
     minima = {k: None for k in range(1, kmax + 1)}
     for order in all_bounded_gap_merges(
         real_order.order, dummy_order, lambda v: kind[v] == "dummy", kmax
@@ -159,8 +159,8 @@ def test_criterion_4_median_three_approximation(small_corpus):
 
 def _assert_output_invariants(inst, pi2, side_gap=False, k=None):
     canonical = canonical_dummy_order(inst)
-    assert induced(pi2, inst.dummy_top_ids).order == canonical.order.order
-    dummies = canonical.order.order
+    assert induced(pi2, inst.dummy_top_ids).order == canonical.order
+    dummies = canonical.order
     for i, d1 in enumerate(dummies):
         for d2 in dummies[i + 1 :]:
             first, second = (d1, d2) if precedes(pi2, d1, d2) else (d2, d1)

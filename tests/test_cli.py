@@ -160,8 +160,19 @@ class TestSolve:
             ({"top": [{"id": 2, "kind": "real"}, {"id": 1, "kind": "dummy"}],
               "edges": [[0, 2], [0, 1]]}, "duplicate node id 1"),
             ({"edges": [[0, 2], [0, 3], [1, 3]]}, "top node 3 has degree 2"),
+            ({"top": [{"id": 2.7, "kind": "real"}, {"id": 3, "kind": "dummy"}]},
+             "top node id must be an integer, got 2.7"),
+            ({"edges": [[0, 2.9], [1, 3]]}, "edge end must be an integer, got 2.9"),
+            ({"pi1": [0, 1.5]}, "pi1 id must be an integer, got 1.5"),
+            ({"bottom": [{"id": 0, "kind": "real"}, {"id": True, "kind": "real"}]},
+             "bad bottom node id: True"),
+            ({"edges": [[0, 2], [True, 3]]}, "bad edge end: True"),
         ],
-        ids=["unknown_edge_id", "pi1_short", "duplicate_id", "dummy_two_edges"],
+        ids=[
+            "unknown_edge_id", "pi1_short", "duplicate_id", "dummy_two_edges",
+            "fractional_id", "fractional_edge_end", "fractional_pi1", "boolean_id",
+            "boolean_edge_end",
+        ],
     )
     def test_malformed_instance_exit_2(self, runner, tmp_path, change, message):
         inst_path = tmp_path / "inst.json"
@@ -271,11 +282,13 @@ class TestBenchCommand:
             ({**SMALL, "algos": "median_sidegaps"}, "algos must be a list"),
             ({**SMALL, "sweep": "n"}, "unknown bench config key 'sweep'"),
             ({**SMALL, "base_params": {"n_nodes": 16}}, "unknown base_params key 'n_nodes'"),
+            ({**SMALL, "algos": ["median_kgaps"]}, "median_kgaps needs k"),
+            ({**SMALL, "sweep_param": "n", "values": []}, "values must be a non-empty list"),
         ],
         ids=[
             "list_config", "instances_text", "seed_text", "n_text", "k_text",
             "algo_number", "k_fraction", "k_zero", "algos_string", "unknown_key",
-            "unknown_base_key",
+            "unknown_base_key", "needs_k", "empty_values",
         ],
     )
     def test_malformed_config_exit_2(self, runner, tmp_path, config, message):
@@ -284,6 +297,7 @@ class TestBenchCommand:
         result = invoke(runner, "bench", "--config", config_path, "--out", tmp_path / "out")
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not (tmp_path / "out").exists()
 
 class TestDraw:
     def test_tiny_instance_glyph_counts(self, runner, tmp_path):
@@ -312,6 +326,16 @@ class TestDraw:
         svg_path = tmp_path / "out.svg"
         invoke(runner, "draw", inst_path, perm_path, "--out", svg_path)
         assert svg_path.read_text().count('class="gap"') == 2
+
+    def test_fractional_permutation_id_exit_2(self, runner, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 2, "--f-dm", 0, "--out", inst_path)
+        perm_path = tmp_path / "perm.json"
+        perm_path.write_text(json.dumps({"order": [2.5, 3]}))
+        result = invoke(runner, "draw", inst_path, perm_path, "--out", tmp_path / "x.svg")
+        assert result.exit_code == 2, result.output
+        assert "permutation id must be an integer, got 2.5" in result.output
+        assert not (tmp_path / "x.svg").exists()
 
     def test_mismatched_permutation_exit_2(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"

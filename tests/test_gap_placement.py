@@ -39,8 +39,8 @@ def real_order_of(inst, kind="median"):
 def assert_canonical_dummy_invariants(inst, pi2):
     """No solver output may scramble the dummies or cross their edges."""
     canonical = canonical_dummy_order(inst)
-    assert induced(pi2, inst.dummy_top_ids).order == canonical.order.order
-    dummies = list(canonical.order.order)
+    assert induced(pi2, inst.dummy_top_ids).order == canonical.order
+    dummies = list(canonical.order)
     for i, d1 in enumerate(dummies):
         for d2 in dummies[i + 1 :]:
             if precedes(pi2, d1, d2):
@@ -50,16 +50,16 @@ def assert_canonical_dummy_invariants(inst, pi2):
 class TestCanonicalDummyOrder:
     def test_sorted_by_neighbor(self):
         inst = mk_instance("rr", "dd", [(0, 100), (1, 101)], pi1=[1, 0])
-        assert canonical_dummy_order(inst).order.order == (101, 100)
+        assert canonical_dummy_order(inst).order == (101, 100)
 
     def test_tie_by_id(self):
         inst = mk_instance("r", "dd", [(0, 100), (0, 101)])
-        assert canonical_dummy_order(inst).order.order == (100, 101)
+        assert canonical_dummy_order(inst).order == (100, 101)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_no_dummy_pair_crossings(self, seed):
         inst = gen(8, 0.5, 2, seed)
-        order = canonical_dummy_order(inst).order.order
+        order = canonical_dummy_order(inst).order
         for i, d1 in enumerate(order):
             for d2 in order[i + 1 :]:
                 assert naive_pair_crossings(inst, d1, d2) == 0
@@ -92,7 +92,7 @@ class TestSideGapMerge:
         order = real_order_of(inst)
         merged = side_gap_merge(inst, order)
         achieved = naive_crossings(inst, merged)
-        best = best_sidegap_split(inst, order, canonical_dummy_order(inst).order.order)
+        best = best_sidegap_split(inst, order, canonical_dummy_order(inst).order)
         assert achieved == best
 
     @given(inst=instances())
@@ -108,7 +108,7 @@ class TestBlockCostTables:
     def test_prefix_differences_match_block_crossings(self, seed):
         inst = gen(7, 0.4, 2, seed)
         real_order = real_order_of(inst)
-        dummy_order = canonical_dummy_order(inst).order
+        dummy_order = canonical_dummy_order(inst)
         rows = block_cost_tables(inst, real_order, dummy_order)
         reals, dummies = real_order.order, dummy_order.order
         for i in range(len(reals) + 1):
@@ -125,7 +125,7 @@ class TestMergeTable:
     def test_base_cases_and_monotone_in_g(self):
         inst = gen(8, 0.5, 2, 4)
         real_order = real_order_of(inst)
-        costs = block_cost_tables(inst, real_order, canonical_dummy_order(inst).order)
+        costs = block_cost_tables(inst, real_order, canonical_dummy_order(inst))
         dp = merge_dp(costs, 3)
         n_real = len(real_order)
         n_dummy = len(inst.dummy_top_ids)
@@ -181,7 +181,7 @@ class TestKGapMerge:
         inst = gen(7, 0.4, 2, seed)
         order = real_order_of(inst)
         reals = order.order
-        dummies = canonical_dummy_order(inst).order.order
+        dummies = canonical_dummy_order(inst).order
         expected = 0
         for d in dummies:
             expected += min(
@@ -200,7 +200,7 @@ class TestKGapMerge:
         merged, mixed = k_gap_merge(inst, order, k)
         assert naive_mixed_crossings(inst, merged) == mixed
         best_mixed, best_total = best_bounded_gap_merge(
-            inst, order, canonical_dummy_order(inst).order.order, k
+            inst, order, canonical_dummy_order(inst).order, k
         )
         assert mixed == best_mixed
         assert naive_crossings(inst, merged) == best_total
@@ -246,7 +246,7 @@ class TestPipelines:
 
     def test_only_dummies_yields_canonical_order(self):
         inst = mk_instance("ddd", "ddd", [])
-        expected = canonical_dummy_order(inst).order.order
+        expected = canonical_dummy_order(inst).order
         assert solve_sidegaps(inst, "median").order == expected
         assert solve_kgaps(inst, "median", 1).order == expected
 

@@ -117,6 +117,8 @@ def test_generated_instances_are_valid_fuzz(n, f_dm, deg_avg, seed):
         {"n": 4, "f_dm": 1.5, "deg_avg": 1, "seed": 0},
         {"n": 4, "f_dm": 0, "deg_avg": 0, "seed": 0},
         {"n": 4, "f_dm": "nonsense", "deg_avg": 1, "seed": 0},
+        {"n": True, "f_dm": 0, "deg_avg": 1, "seed": 0},
+        {"n": 4, "f_dm": 0, "deg_avg": True, "seed": 0},
     ],
 )
 def test_bad_params_rejected(kwargs):
