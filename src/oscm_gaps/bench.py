@@ -104,13 +104,7 @@ class AlgoSpec:
         if not isinstance(text, str):
             raise InputError(f"algorithm must be a string like 'median_kgaps:2', got {text!r}")
         name, _, suffix = text.partition(":")
-        k = None
-        if suffix:
-            try:
-                k = int(suffix)
-            except ValueError:
-                raise InputError(f"bad k suffix in algorithm {text!r}") from None
-        return cls(name.strip(), k)
+        return cls(name.strip(), as_int(suffix, f"k of {text!r}") if suffix else None)
 
     @property
     def algorithm(self) -> Algorithm:

@@ -17,6 +17,7 @@ from itertools import repeat
 from typing import Iterable, Literal, Sequence
 
 Kind = Literal["real", "dummy"]
+_KINDS = ("real", "dummy")
 
 
 class InputError(ValueError):
@@ -47,6 +48,12 @@ def as_int(value: int | float | str, name: str) -> int:
 class Node:
     id: int
     kind: Kind
+
+
+def _checked_node(node: Node, layer: str) -> Node:
+    if node.kind not in _KINDS:
+        raise InputError(f"bad node kind: {node.kind!r}")
+    return Node(as_int(node.id, f"{layer} node id"), node.kind)
 
 
 @dataclass(frozen=True)
@@ -119,15 +126,18 @@ class BipartiteInstance:
         edges: Iterable[tuple[int, int]],
         pi1_order: Sequence[int] | None = None,
     ) -> "BipartiteInstance":
-        bottom = tuple(bottom)
-        top = tuple(top)
-        edge_list = [(int(b), int(t)) for b, t in edges]
+        """The checked instance: node ids, edge ends and `pi1` ids are read
+        with `as_int` and kinds must be "real" or "dummy", as in a file."""
+        bottom = tuple(_checked_node(v, "bottom") for v in bottom)
+        top = tuple(_checked_node(v, "top") for v in top)
+        edge_list = [(as_int(b, "edge end"), as_int(t, "edge end")) for b, t in edges]
         edge_set = frozenset(edge_list)
         if len(edge_set) != len(edge_list):
             raise InputError("duplicate edges")
         if pi1_order is None:
             pi1_order = [v.id for v in bottom]
-        inst = cls(bottom, top, edge_set, Permutation(tuple(pi1_order)))
+        pi1 = Permutation(tuple(as_int(v, "pi1 id") for v in pi1_order))
+        inst = cls(bottom, top, edge_set, pi1)
         violations = validate_instance(inst)
         if violations:
             raise InputError(f"invalid instance: {'; '.join(violations)}")
@@ -322,8 +332,6 @@ def count_gaps(inst: BipartiteInstance, pi2: Permutation) -> GapReport:
 
 # -- file formats ----------------------------------------------------------
 
-_KINDS = ("real", "dummy")
-
 
 def instance_to_json(inst: BipartiteInstance) -> str:
     payload = {
@@ -338,9 +346,7 @@ def instance_to_json(inst: BipartiteInstance) -> str:
 def _node_from_obj(obj: object, layer: str) -> Node:
     if not isinstance(obj, dict) or "id" not in obj or "kind" not in obj:
         raise InputError(f"bad {layer} node entry: {obj!r}")
-    if obj["kind"] not in _KINDS:
-        raise InputError(f"bad node kind: {obj['kind']!r}")
-    return Node(as_int(obj["id"], f"{layer} node id"), obj["kind"])
+    return Node(obj["id"], obj["kind"])
 
 
 def instance_from_json(text: str) -> BipartiteInstance:
@@ -351,8 +357,8 @@ def instance_from_json(text: str) -> BipartiteInstance:
     try:
         bottom = [_node_from_obj(o, "bottom") for o in payload["bottom"]]
         top = [_node_from_obj(o, "top") for o in payload["top"]]
-        edges = [(as_int(b, "edge end"), as_int(t, "edge end")) for b, t in payload["edges"]]
-        pi1 = [as_int(v, "pi1 id") for v in payload["pi1"]]
+        edges = [(b, t) for b, t in payload["edges"]]
+        pi1 = list(payload["pi1"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid instance JSON: {exc}") from None
     return BipartiteInstance.build(bottom, top, edges, pi1)

@@ -43,15 +43,13 @@ class OrderingModel:
     lists the canonical dummy order as node indices (every dummy in a
     k-gap model, so the real nodes are the indices off the chain; empty in
     the base model), and `gap_budget` (k-1) bounds the number of
-    consecutive chain pairs a real node may separate. `degrees` only
-    steers branching.
+    consecutive chain pairs a real node may separate.
     """
 
     ids: tuple[int, ...]
     cost: tuple[tuple[int, ...], ...]
     chain: tuple[int, ...]
     gap_budget: int | None
-    degrees: tuple[int, ...]
 
     @property
     def fixed_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -80,7 +78,6 @@ def _build(inst: BipartiteInstance, chain: tuple[int, ...], gap_budget: int | No
         cost=pairwise_crossings(inst).rows,
         chain=tuple(index[d] for d in chain),
         gap_budget=gap_budget,
-        degrees=tuple(inst.degree(v) for v in ids),
     )
 
 
@@ -181,7 +178,9 @@ def solve_branch_and_bound(
     model: OrderingModel, time_budget_s: float, initial: Permutation
 ) -> SolveResult:
     """Depth-first search over permutation prefixes, starting from the
-    incumbent `initial`, an order of the model's nodes.
+    incumbent `initial`, an order of the model's nodes. Every node visits
+    its children in `initial`'s order, so the first descent follows the
+    incumbent.
 
     The bound at a prefix is the cost among placed pairs, plus the forced
     cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
@@ -219,7 +218,6 @@ def solve_branch_and_bound(
     esum = list(map(sum, extra))
     # each pair has c_uv + c_vu = 2 min(c_uv, c_vu) + extra[u][v] + extra[v][u]
     root_bound = (sum(map(sum, cost)) - sum(map(getitem, cost, range(p))) - sum(esum)) // 2
-    static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
 
     prefix: list[int] = []
     memo: dict[int, int] = {0: root_bound}
@@ -263,7 +261,7 @@ def solve_branch_and_bound(
     status: Literal["optimal", "timeout_incumbent"] = "optimal"
     if root_bound < best_obj:
         try:
-            dfs(root_bound, 0, static_order, esum)
+            dfs(root_bound, 0, best_order, esum)
         except _Timeout:
             status = "timeout_incumbent"
 
@@ -425,7 +423,7 @@ def _cut_set_contraction(
     """The contraction of the k-gap `model` for one cut set, as a function
     of the segments' chain slices `bounds`: the chain-free model of its
     real nodes and one node per segment, named after its first dummy, whose
-    costs and degree sum its dummies', and that model's root bound.
+    costs sum its dummies', and that model's root bound.
 
     Each row is kept with its chain columns as prefix sums, and the chain
     rows as column-wise prefix sums, so every entry that involves a
@@ -448,8 +446,6 @@ def _cut_set_contraction(
     )
     real_root = _root_bound([row[:r] for row in rows])
     real_ids = [model.ids[i] for i in reals]
-    real_degrees = [model.degrees[i] for i in reals]
-    chain_degrees = list(accumulate((model.degrees[c] for c in chain), initial=0))
 
     def contract(bounds) -> tuple[OrderingModel, int]:
         segment_rows = [list(map(sub, chain_rows[b], chain_rows[a])) for a, b in bounds]
@@ -458,9 +454,8 @@ def _cut_set_contraction(
             for row in rows + segment_rows
         )
         ids = tuple(real_ids + [model.ids[chain[a]] for a, _ in bounds])
-        degrees = tuple(real_degrees + [chain_degrees[b] - chain_degrees[a] for a, b in bounds])
         # the pairs of real nodes are the same in every cut set
-        return OrderingModel(ids, cost, (), None, degrees), real_root + _root_bound(cost, r)
+        return OrderingModel(ids, cost, (), None), real_root + _root_bound(cost, r)
 
     return contract
 

@@ -337,7 +337,8 @@ def reference_branch_and_bound(
         return SolveResult("timeout_incumbent", perm, best_obj, perf_counter() - start, 0)
 
     minp = [[min(cost[i][j], cost[j][i]) for j in range(p)] for i in range(p)]
-    static_order = sorted(range(p), key=lambda i: (-model.degrees[i], model.ids[i]))
+    # children in the incumbent's order, or in id order without one
+    static_order = best_order.copy() if best_order is not None else list(range(p))
 
     placed = [False] * p
     prefix: list[int] = []

@@ -36,10 +36,19 @@ class TestAlgoSpec:
         spec = AlgoSpec.parse("median_kgaps:2")
         assert (spec.name, spec.k) == ("median_kgaps", 2)
 
+    def test_parse_integral_k(self):
+        # read with as_int, as a k sweep's values are
+        spec = AlgoSpec.parse("median_kgaps:2.0")
+        assert spec == AlgoSpec("median_kgaps", 2)
+        assert type(spec.k) is int
+
     def test_parse_plain(self):
         assert AlgoSpec.parse("exact_sidegaps") == AlgoSpec("exact_sidegaps")
 
-    @pytest.mark.parametrize("text", ["frobnicate", "median_kgaps:x", "median_sidegaps:2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["frobnicate", "median_kgaps:x", "median_sidegaps:2", "median_kgaps:2.5", "median_kgaps:true"],
+    )
     def test_bad_specs_rejected(self, text):
         with pytest.raises(InputError):
             AlgoSpec.parse(text)

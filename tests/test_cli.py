@@ -91,8 +91,9 @@ class TestSolve:
         perm_path = tmp_path / "perm.json"
         invoke(runner, "generate", "--n", 30, "--f-dm", "0.2", "--deg-avg", 3,
                "--seed", 0, "--out", inst_path)
+        # a zero budget runs out before the first cut set, on any machine
         result = invoke(runner, "solve", inst_path, "--algo", "exact_kgaps", "--k", 2,
-                        "--time-budget-s", "0.01", "--out", perm_path)
+                        "--time-budget-s", "0", "--out", perm_path)
         assert result.exit_code == 3, result.output
         assert perm_path.exists()  # incumbent still written
 
@@ -284,11 +285,14 @@ class TestBenchCommand:
             ({**SMALL, "base_params": {"n_nodes": 16}}, "unknown base_params key 'n_nodes'"),
             ({**SMALL, "algos": ["median_kgaps"]}, "median_kgaps needs k"),
             ({**SMALL, "sweep_param": "n", "values": []}, "values must be a non-empty list"),
+            ({**SMALL, "algos": ["median_kgaps:2.5"]}, "must be an integer, got '2.5'"),
+            ({**SMALL, "algos": ["median_kgaps:true"]}, "bad k of 'median_kgaps:true'"),
         ],
         ids=[
             "list_config", "instances_text", "seed_text", "n_text", "k_text",
             "algo_number", "k_fraction", "k_zero", "algos_string", "unknown_key",
-            "unknown_base_key", "needs_k", "empty_values",
+            "unknown_base_key", "needs_k", "empty_values", "k_suffix_fraction",
+            "k_suffix_boolean",
         ],
     )
     def test_malformed_config_exit_2(self, runner, tmp_path, config, message):

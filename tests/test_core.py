@@ -68,6 +68,30 @@ class TestValidate:
         )
         assert validate_instance(raw) == ["dummy degree != 1: top node 105 has degree 2"]
 
+    BOTTOM = [Node(0, "real"), Node(1, "real")]
+
+    @pytest.mark.parametrize(
+        "top, edges, message",
+        [
+            ([Node(2, "real"), Node(3, "real")], [(0, 2.9), (1, 3)],
+             "edge end must be an integer, got 2.9"),
+            ([Node(2.5, "real"), Node(3, "real")], [(0, 3)],
+             "top node id must be an integer, got 2.5"),
+            ([Node(True, "real"), Node(3, "real")], [(0, 3)], "bad top node id: True"),
+            ([Node(2, "bogus"), Node(3, "real")], [(0, 3)], "bad node kind: 'bogus'"),
+        ],
+        ids=["fractional_edge_end", "fractional_id", "boolean_id", "unknown_kind"],
+    )
+    def test_build_refuses_what_a_file_refuses(self, top, edges, message):
+        with pytest.raises(InputError, match=message):
+            BipartiteInstance.build(self.BOTTOM, top, edges)
+
+    def test_build_reads_integral_floats_as_a_file_does(self):
+        inst = BipartiteInstance.build(self.BOTTOM, [Node(2.0, "real")], [(0.0, 2), (1, 2.0)])
+        assert inst.top_ids == (2,)
+        assert inst.edges == {(0, 2), (1, 2)}
+        assert all(type(v) is int for v in inst.top_ids + inst.pi1.order)
+
     @given(instances())
     @settings(max_examples=50)
     def test_strategy_produces_valid_instances(self, inst):

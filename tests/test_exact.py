@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 from itertools import combinations, islice, pairwise
 
 import pytest
@@ -282,9 +283,9 @@ class TestMatchesReferenceSearch:
 
     def test_desk_sweeps_node_total(self):
         """Summed nodes of the exact solves in the cells of the benchmark's
-        desk_sweeps workload on its seed 1, recorded before the search kept
-        its per-node extras vector and not to be re-recorded: the search
-        makes the same moves as it did."""
+        desk_sweeps workload on its seed 1, recorded when the search began
+        to visit children in the incumbent's order. A change that keeps
+        the search's moves keeps this total."""
         cells = [(16, seed, k) for seed in range(2, 22) for k in range(1, 6)]
         cells += [(n, seed, 2) for n in (8, 12, 16, 20) for seed in range(2, 22)]
         kgap = sum(solve_kgap_exact(gen(n, "0.2", 3, s), k, 60.0).nodes_explored for n, s, k in cells)
@@ -293,8 +294,8 @@ class TestMatchesReferenceSearch:
             for n in (8, 12, 16, 20)
             for s in range(2, 22)
         )
-        assert (kgap, sidegap) == (260_545, 53_648)
-        assert kgap + sidegap == 314_193
+        assert (kgap, sidegap) == (95_750, 24_723)
+        assert kgap + sidegap == 120_473
 
     @pytest.mark.parametrize("with_incumbent", [False, True])
     def test_zero_budget(self, with_incumbent):
@@ -498,7 +499,7 @@ class TestKgapCutSets:
     @staticmethod
     def assert_contractions_match(model, cut_sets):
         """The prefix-sum contraction of each cut set equals the per-entry
-        one, root bound, names and degrees included."""
+        one, root bound and names included."""
         contract = _cut_set_contraction(model)
         chain, d = model.chain, len(model.chain)
         reals = [i for i in range(len(model.ids)) if i not in set(chain)]
@@ -509,7 +510,6 @@ class TestKgapCutSets:
             assert (contracted.cost, root_bound) == reference_contraction(model, segments)
             groups = [(i,) for i in reals] + segments
             assert contracted.ids == tuple(model.ids[g[0]] for g in groups)
-            assert contracted.degrees == tuple(sum(model.degrees[i] for i in g) for g in groups)
             assert contracted.chain == ()
 
     @given(instances())
@@ -535,21 +535,36 @@ class TestKgapCutSets:
         assert_kgap_output(inst, result, 1)
 
     def test_equal_neighbour_tie_keeps_canonical_order(self, monkeypatch):
+        """A search may return tied segments out of chain order; the solve
+        refills the dummy slots in canonical order. The wrapped search
+        swaps the first two adjacent segments whose costs tie both ways,
+        which keeps the objective."""
         inst = gen(6, "0.5", 2, 3)
         # all three dummies tie on one neighbour
         assert {b for b, t in inst.edges if inst.top_kind[t] == "dummy"} == {0}
-        searched = []
+        swapped = []
 
-        def recorded(*args, **kwargs):
-            result = search(*args, **kwargs)
-            searched.append(result.permutation)
+        def tie_swapped(model, time_budget_s, initial):
+            result = search(model, time_budget_s, initial)
+            order = list(result.permutation.order)
+            index = {v: i for i, v in enumerate(model.ids)}
+            for a, (u, v) in enumerate(pairwise(order)):
+                iu, iv = index[u], index[v]
+                if inst.top_kind[u] == inst.top_kind[v] == "dummy" and (
+                    model.cost[iu][iv] == model.cost[iv][iu]
+                ):
+                    order[a : a + 2] = v, u
+                    perm = Permutation(tuple(order))
+                    assert objective_value(model, perm) == result.objective
+                    swapped.append(perm)
+                    return replace(result, permutation=perm)
             return result
 
         search = exact.solve_branch_and_bound
-        monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
+        monkeypatch.setattr(exact, "solve_branch_and_bound", tie_swapped)
         result = solve_kgap_exact(inst, 2)
-        # a search placed the segment of dummy 10 before the one of dummy 9
-        assert any(precedes(p, 10, 9) for p in searched)
+        # a swapped search result put dummy 10's segment before dummy 9's
+        assert any(precedes(p, 10, 9) for p in swapped)
         assert result.status == "optimal"
         assert result.objective == enumerate_optima(inst, ks=(2,))[("kgap", 2)][1]
         assert_kgap_output(inst, result, 2)
