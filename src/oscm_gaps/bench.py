@@ -111,7 +111,9 @@ class AlgoSpec:
         return ALGORITHMS[self.name]
 
     def with_k(self, k: int) -> "AlgoSpec":
-        if self.needs_k and self.k is None:
+        """This spec with a swept k, for every algorithm that takes one
+        (all but the side-gap regime) and has none of its own."""
+        if self.k is None and self.algorithm.regime != "sidegaps":
             return AlgoSpec(self.name, k)
         return self
 
@@ -434,12 +436,7 @@ def _write_plots(
         series = collect(metric)
         if not series:
             continue
-        try:
-            text = svg_line_chart(
-                f"{y_label} by {sweep}", sweep, y_label, x_values, series, log_y=log_y
-            )
-        except InputError:
-            continue
+        text = svg_line_chart(f"{y_label} by {sweep}", sweep, y_label, x_values, series, log_y=log_y)
         path = out_dir / filename
         path.write_text(text, encoding="utf-8")
         written.append(path)

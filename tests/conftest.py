@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -7,6 +11,7 @@ from oscm_gaps.core import BipartiteInstance, Node, Permutation
 from oscm_gaps.generator import GenParams, generate
 
 TOP_BASE = 100  # top ids start here so the layers never collide
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def mk_instance(bottom_kinds: str, top_kinds: str, edges, pi1=None) -> BipartiteInstance:
@@ -35,6 +40,18 @@ def induced(pi: Permutation, subset) -> Permutation:
 
 def precedes(pi: Permutation, x: int, y: int) -> bool:
     return pi.position[x] < pi.position[y]
+
+
+def load_script(name: str):
+    """The experiment script `name` as a module. Its directory is put on
+    sys.path, as it is when the script is run, so that the script finds
+    the shared front end `sweep`."""
+    if str(SCRIPTS) not in sys.path:
+        sys.path.insert(0, str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite

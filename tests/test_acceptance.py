@@ -7,15 +7,17 @@ conftest terminal summary lists PASS/FAIL per criterion.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import gen, induced, precedes
+from conftest import gen, induced, load_script, precedes
 from oracles import naive_mixed_crossings, naive_pair_crossings
 
 from oscm_gaps.cli import cli
@@ -278,3 +280,52 @@ def test_criterion_9_determinism_fixtures(tmp_path):
     assert result.exit_code == 0, result.output
     assert svg.read_bytes() == (DATA / "golden_drawing.svg").read_bytes()
     print("criterion 9: generate, bench --jobs=1, and draw reproduce golden bytes")
+
+
+# exact crossings of the first two paper-scale instances (seeds 1 and 2):
+# gap_count by (k, seed), sidegaps_vs_2gaps by (n, seed, algorithm)
+PAPER_SCALE_OPTIMA = {
+    "experiment_gap_count": {
+        (1, 1, "exact_kgaps"): 1930, (1, 2, "exact_kgaps"): 1994,
+        (2, 1, "exact_kgaps"): 1829, (2, 2, "exact_kgaps"): 1919,
+        (3, 1, "exact_kgaps"): 1809, (3, 2, "exact_kgaps"): 1916,
+        (4, 1, "exact_kgaps"): 1803, (4, 2, "exact_kgaps"): 1915,
+        (5, 1, "exact_kgaps"): 1802, (5, 2, "exact_kgaps"): 1915,
+    },
+    "experiment_sidegaps_vs_2gaps": {
+        (10, 1, "exact_sidegaps"): 105, (10, 1, "exact_kgaps"): 103,
+        (10, 2, "exact_sidegaps"): 75, (10, 2, "exact_kgaps"): 75,
+        (20, 1, "exact_sidegaps"): 407, (20, 1, "exact_kgaps"): 403,
+        (20, 2, "exact_sidegaps"): 357, (20, 2, "exact_kgaps"): 350,
+        (30, 1, "exact_sidegaps"): 934, (30, 1, "exact_kgaps"): 902,
+        (30, 2, "exact_sidegaps"): 1033, (30, 2, "exact_kgaps"): 1027,
+        (40, 1, "exact_sidegaps"): 1847, (40, 1, "exact_kgaps"): 1829,
+        (40, 2, "exact_sidegaps"): 1997, (40, 2, "exact_kgaps"): 1919,
+    },
+}
+
+
+def test_criterion_10_paper_scale_exact_reference(tmp_path, monkeypatch):
+    started = time.perf_counter()
+    heuristic_rows = 0
+    for name, optima in PAPER_SCALE_OPTIMA.items():
+        out = tmp_path / name
+        monkeypatch.setattr(sys, "argv", [name, "--paper-scale", "--instances", "2", "--out", str(out)])
+        assert load_script(name).main() == 0
+        with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        exact = {}
+        for row in rows:
+            if row["algo"].startswith("exact_"):
+                assert row["status"] == "optimal", row
+                swept = int(row["k"] if name == "experiment_gap_count" else row["n"])
+                exact[(swept, int(row["seed"]), row["algo"])] = int(row["crossings"])
+            else:
+                assert float(row["ratio_crossings"]) >= 1.0, row
+                heuristic_rows += 1
+        assert exact == optima
+    elapsed = time.perf_counter() - started
+    print(
+        f"criterion 10: both scripts at paper scale prove {sum(map(len, PAPER_SCALE_OPTIMA.values()))} "
+        f"exact rows; {heuristic_rows} heuristic ratios >= 1 ({elapsed:.1f}s)"
+    )

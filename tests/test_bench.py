@@ -75,9 +75,9 @@ class TestSolveWith:
 
     @pytest.mark.parametrize(
         "spec",
-        # every registry entry, k=2 where it is required, plus the oracle's
-        # bounded-gap mode
-        [AlgoSpec(name).with_k(2) for name in ALGORITHMS] + [AlgoSpec("oracle", 2)],
+        # every registry entry, k=2 where it takes one (the oracle's
+        # bounded-gap mode), plus the unrestricted oracle
+        [AlgoSpec(name).with_k(2) for name in ALGORITHMS] + [AlgoSpec("oracle")],
     )
     def test_gap_constraints_respected(self, spec):
         inst = gen(7, 0.4, 2, 9)
@@ -174,6 +174,20 @@ class TestRunBench:
         with pytest.raises(InputError, match="time budget"):
             run_bench(config, tmp_path / "out", time_budget_s=budget)
         assert not (tmp_path / "out").exists()
+
+    def test_k_sweep_bounds_the_oracle(self, tmp_path):
+        # this instance's 1-gap optimum (17) is above its unrestricted one (14)
+        base = {"n": 6, "f_dm": "0.5", "deg_avg": 2, "seed": 5}
+        config = BenchConfig.from_dict(
+            {"sweep_param": "k", "values": [1, 2, 3], "instances": 1, "base_params": base, "algos": ["oracle"]}
+        )
+        rows = read_rows(run_bench(config, tmp_path)[0])
+        inst = gen(**base)
+        assert brute_force_oracle(inst, "kgap", k=1)[1] > brute_force_oracle(inst, "unrestricted")[1]
+        assert [r["k"] for r in rows] == ["1", "2", "3"]
+        for row in rows:
+            assert row["status"] == "optimal"
+            assert int(row["crossings"]) == brute_force_oracle(inst, "kgap", k=int(row["k"]))[1]
 
     def test_oracle_error_rows_do_not_stop_the_harness(self, tmp_path):
         config = BenchConfig.from_dict(

@@ -1,23 +1,31 @@
-"""The experiment scripts refuse bad arguments with exit code 2, as the
-CLI does."""
+"""The experiment scripts run their sweeps to completion and refuse bad
+arguments with exit code 2, as the CLI does."""
 
 from __future__ import annotations
 
-import importlib.util
+import csv
 import sys
-from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from conftest import load_script as load
+
 NAMES = ["experiment_gap_count", "experiment_sidegaps_vs_2gaps"]
 
 
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.mark.parametrize("name", NAMES)
+def test_desk_scale_run_writes_proven_ratios(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [name, "--instances", "1", "--out", str(tmp_path)])
+    assert load(name).main() == 0
+    assert f"wrote {tmp_path / 'results.csv'}" in capsys.readouterr().out.splitlines()
+    with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        if row["algo"].startswith("exact_"):
+            assert row["status"] == "optimal", row
+        else:
+            assert float(row["ratio_crossings"]) >= 1.0, row
 
 
 @pytest.mark.parametrize("name", NAMES)
