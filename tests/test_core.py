@@ -98,6 +98,18 @@ class TestValidate:
         assert validate_instance(inst) == []
 
 
+class TestLookups:
+    NAMES = {"top_ids", "real_top_ids", "dummy_top_ids", "top_kind", "_top_adj",
+             "neighbor_positions", "bottom_real_degree"}
+
+    def test_built_on_request(self):
+        inst = gen(n=8, f_dm="0.25", deg_avg=2, seed=1)
+        assert not self.NAMES & set(vars(inst))
+        inst.build_lookups()
+        assert self.NAMES <= set(vars(inst))
+        assert "position" in vars(inst.pi1)
+
+
 class TestPermutation:
     def test_duplicate_rejected(self):
         with pytest.raises(InputError):
