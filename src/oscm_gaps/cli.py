@@ -132,7 +132,7 @@ def solve(instance, algo, k, time_budget_s, out):
     # measured, and its seed is 0
     reals = inst.real_top_ids
     f_dm = len(inst.dummy_top_ids) / len(inst.top) if inst.top else 0
-    deg_avg = sum(map(inst.degree, reals)) / len(reals) if reals else 0
+    deg_avg = sum(len(inst.neighbor_positions[v]) for v in reals) / len(reals) if reals else 0
     meta = {
         "instance_id": Path(instance).stem,
         "seed": 0,

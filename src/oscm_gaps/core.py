@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Literal, Sequence
 
 Kind = Literal["real", "dummy"]
@@ -162,32 +162,23 @@ class BipartiteInstance:
         return {v.id: v.kind for v in self.top}
 
     @cached_property
-    def _top_adj(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v.id: [] for v in self.top}
-        for b, t in self.edges:
-            adj[t].append(b)
-        return {t: tuple(bs) for t, bs in adj.items()}
-
-    @cached_property
     def neighbor_positions(self) -> dict[int, tuple[int, ...]]:
         """Top id -> sorted bottom positions of its neighbors."""
         pos = self.pi1.position
-        return {
-            t: tuple(sorted(pos[b] for b in bs)) for t, bs in self._top_adj.items()
-        }
-
-    def degree(self, top_id: int) -> int:
-        return len(self._top_adj[top_id])
+        adj: dict[int, list[int]] = {v.id: [] for v in self.top}
+        for b, t in self.edges:
+            adj[t].append(pos[b])
+        return {t: tuple(sorted(ps)) for t, ps in adj.items()}
 
     @cached_property
-    def bottom_real_degree(self) -> dict[int, int]:
-        """Bottom id -> number of incident edges whose top endpoint is real."""
-        deg = {v.id: 0 for v in self.bottom}
-        kind = self.top_kind
-        for b, t in self.edges:
-            if kind[t] == "real":
-                deg[b] += 1
-        return deg
+    def real_edges_before(self) -> tuple[int, ...]:
+        """Entry q counts the edges with a real top end whose bottom end
+        lies left of position q, for q = 0..len(pi1)."""
+        at = [0] * len(self.pi1)
+        for t in self.real_top_ids:
+            for q in self.neighbor_positions[t]:
+                at[q] += 1
+        return tuple(accumulate(at, initial=0))
 
     def build_lookups(self) -> None:
         """Build every lookup above, and the positions of `pi1`, now

@@ -47,37 +47,28 @@ def _check_real_order(inst: BipartiteInstance, real_order: Permutation) -> None:
 def side_gap_merge(inst: BipartiteInstance, real_order: Permutation) -> Permutation:
     """Optimal side-gap placement of the dummies around `real_order`.
 
-    Placing a dummy with neighbor position q on the left costs the summed
-    real-degree of bottom nodes before q, on the right the summed
-    real-degree after q. Along the canonical dummy order the left cost is
-    nondecreasing and the right cost nonincreasing, so the dummies that
-    strictly prefer the left form a prefix, found by binary search; ties
-    go right. Edge-less dummies cross nothing; they sort first in the
-    canonical order and are sent left, keeping the split a prefix.
+    Placing a dummy with neighbor position q on the left costs the
+    real-incident edges left of q, on the right those right of q. Along
+    the canonical dummy order the left cost is nondecreasing and the right
+    cost nonincreasing, so the dummies that go right form a suffix, found
+    by binary search; ties go right. Edge-less dummies cross nothing and
+    sort first in the canonical order: they go left when some edge has a
+    real top end (left cost 0 < right cost), and right, as every tie does,
+    when none has.
     """
     _check_real_order(inst, real_order)
     dummies = canonical_dummy_order(inst).order
+    before = inst.real_edges_before
+    total = before[-1]
 
-    degs = [inst.bottom_real_degree[b] for b in inst.pi1.order]
-    prefix = [0, *accumulate(degs)]
-    total = prefix[-1]
-
-    def prefers_left(d: int) -> bool:
+    def goes_right(d: int) -> bool:
         q = _dummy_position(inst, d)
         if q < 0:
-            left, right = 0, total
-        else:
-            left, right = prefix[q], total - prefix[q + 1]
-        return left < right
+            return total == 0
+        return before[q] >= total - before[q + 1]
 
-    lo, hi = 0, len(dummies)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prefers_left(dummies[mid]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return concatenate(dummies[:lo], real_order, dummies[lo:])
+    split = bisect_left(dummies, True, key=goes_right)
+    return concatenate(dummies[:split], real_order, dummies[split:])
 
 
 def block_cost_tables(
@@ -94,7 +85,7 @@ def block_cost_tables(
     # neighbor. Moving real node r from after the dummy to before it adds
     # r's edges strictly right of the neighbor and drops those strictly
     # left. Edge-less dummies (q < 0) cross nothing anywhere.
-    left = [0, *accumulate(inst.bottom_real_degree[b] for b in inst.pi1.order)]
+    left = inst.real_edges_before
     cost = [0 if qt < 0 else left[qt] for qt in q]
     rows = [list(accumulate(cost, initial=0))]
     for r in real_order.order:

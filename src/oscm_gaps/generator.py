@@ -83,8 +83,9 @@ def generate(params: GenParams) -> BipartiteInstance:
 
     Ids: bottom reals 0..n_r-1, bottom dummies n_r..n-1, top reals
     n..n+n_r-1, top dummies n+n_r..2n-1. Real-real edges are sampled
-    without replacement from the full pair space by partial shuffle; each
-    dummy then gets one edge to a uniformly random real node of the
+    without replacement from the n_r² pairs by a partial Fisher-Yates
+    shuffle that stores only the slots it moved, so memory is O(n + edges);
+    each dummy then gets one edge to a uniformly random real node of the
     opposite layer (no target exists when n_r = 0, leaving all-dummy
     layers edgeless). pi1 is the bottom creation order.
     """
@@ -97,15 +98,12 @@ def generate(params: GenParams) -> BipartiteInstance:
     top += [Node(n + n_r + i, "dummy") for i in range(n_dm)]
 
     edges: list[tuple[int, int]] = []
-    n_edges = math.floor(n_r * min(Fraction(n_r), params.deg_avg))
-    if n_edges:
-        pair_space = list(range(n_r * n_r))
-        for i in range(n_edges):
-            j = i + rng.randrange(n_r * n_r - i)
-            pair_space[i], pair_space[j] = pair_space[j], pair_space[i]
-        for idx in pair_space[:n_edges]:
-            b, t = divmod(idx, n_r)
-            edges.append((b, n + t))
+    moved: dict[int, int] = {}  # slot -> pair, for the slots swapped so far
+    for i in range(math.floor(n_r * min(Fraction(n_r), params.deg_avg))):
+        j = i + rng.randrange(n_r * n_r - i)
+        b, t = divmod(moved.get(j, j), n_r)  # slot i takes slot j's pair
+        moved[j] = moved.get(i, i)
+        edges.append((b, n + t))
 
     if n_r:
         for i in range(n_dm):  # bottom dummies -> random real top node

@@ -98,9 +98,17 @@ class TestValidate:
         assert validate_instance(inst) == []
 
 
+def naive_real_edges_before(inst):
+    """Per position q, the edges with a real top end whose bottom end is
+    left of q, counted edge by edge."""
+    real = set(inst.real_top_ids)
+    left_of = [inst.pi1.order.index(b) for b, t in inst.edges if t in real]
+    return tuple(sum(p < q for p in left_of) for q in range(len(inst.pi1) + 1))
+
+
 class TestLookups:
-    NAMES = {"top_ids", "real_top_ids", "dummy_top_ids", "top_kind", "_top_adj",
-             "neighbor_positions", "bottom_real_degree"}
+    NAMES = {"top_ids", "real_top_ids", "dummy_top_ids", "top_kind",
+             "neighbor_positions", "real_edges_before"}
 
     def test_built_on_request(self):
         inst = gen(n=8, f_dm="0.25", deg_avg=2, seed=1)
@@ -108,6 +116,18 @@ class TestLookups:
         inst.build_lookups()
         assert self.NAMES <= set(vars(inst))
         assert "position" in vars(inst.pi1)
+
+    @given(instances())
+    @settings(max_examples=50)
+    def test_real_edges_before_counts_each_position(self, inst):
+        assert inst.real_edges_before == naive_real_edges_before(inst)
+
+    @pytest.mark.parametrize("f_dm", ["0", "0.2", "0.5", "1"])
+    def test_real_edges_before_on_generated_grid(self, f_dm):
+        for n in (1, 2, 5, 16, 40):
+            for seed in range(5):
+                inst = gen(n, f_dm, 3, seed)
+                assert inst.real_edges_before == naive_real_edges_before(inst)
 
 
 class TestPermutation:

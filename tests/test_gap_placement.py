@@ -76,6 +76,18 @@ class TestSideGapMerge:
         merged = side_gap_merge(right, real_order_of(right))
         assert merged.order[-1] == 103  # 1 < 1 fails strictly, ties go right
 
+    @pytest.mark.parametrize(
+        "bottom, edges, expected",
+        [
+            ("", [], (100, 101, 102)),  # left cost 0 ties right cost 0: right
+            ("dd", [(0, 100), (1, 101)], (102, 100, 101)),  # 0 < 2: left
+        ],
+    )
+    def test_edgeless_dummies(self, bottom, edges, expected):
+        # with no real bottom node a top dummy may have no edge
+        inst = mk_instance(bottom, "rrd", edges)
+        assert side_gap_merge(inst, real_order_of(inst)).order == expected
+
     def test_no_dummies_identity(self):
         inst = gen(5, 0, 2, 1)
         order = real_order_of(inst)

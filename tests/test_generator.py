@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,17 @@ def test_generated_instances_are_valid_on_the_grid(f_dm, deg_avg):
             n_r = params.n_real
             drawn = math.floor(n_r * min(n_r, params.deg_avg)) + (2 * params.n_dummy if n_r else 0)
             assert len(inst.edges) == drawn  # no edge was drawn twice
+
+
+def test_memory_grows_with_the_edges_not_the_pair_space():
+    # 800 real nodes per layer: 640,000 pairs for 2,400 real-real edges
+    tracemalloc.start()
+    try:
+        generate(GenParams(1000, "0.2", 3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @given(
