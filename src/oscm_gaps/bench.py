@@ -370,6 +370,8 @@ def run_bench(
     ratios are left blank, so repeated runs are byte-identical.
     """
     check_time_budget(time_budget_s)
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     cells = config.cells()  # refuses a bad config before any output exists
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

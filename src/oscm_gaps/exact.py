@@ -340,11 +340,7 @@ def enumerate_optima(
             order.pop()
             placed[u] = False
 
-    if p:
-        walk(0, 0, False, 0)
-    else:
-        for entry in best.values():
-            entry[:] = [0, ()]
+    walk(0, 0, False, 0)
     return {
         mode: (tuple(ids[u] for u in entry[1]), entry[0]) for mode, entry in best.items()
     }
@@ -390,14 +386,16 @@ def solve_kgap_exact(
 ) -> SolveResult:
     """Exact optimum over permutations with at most k gaps: the best
     optimum over the chain's cut sets, taken lazily with the deadline
-    checked before each. Segments leave chain order only at equal cost, so
-    refilling the dummy slots in canonical order keeps crossings and gaps."""
+    checked before each. A cut set not pruned by its root bound is searched
+    from the best order, each segment at its first dummy's place. Segments
+    leave chain order only at equal cost, so refilling an improving order's
+    dummy slots in canonical order keeps crossings and gaps."""
     check_time_budget(time_budget_s)
     start = perf_counter()
     model = build_kgap_model(inst, k)
     best = solve_kgaps(inst, "median", k)
     best_obj = objective_value(model, best)
-    chain, d = model.chain, len(model.chain)
+    dummies, d = [model.ids[c] for c in model.chain], len(model.chain)
     contract = _cut_set_contraction(model)
     status, nodes = "optimal", 0
     for cuts in combinations(range(1, d), min(k, d) - 1) if d else [()]:
@@ -405,16 +403,22 @@ def solve_kgap_exact(
             status = "timeout_incumbent"
             break
         bounds = list(pairwise((0, *cuts, d))) if d else []
-        result = _search_segments(model, contract, bounds, best, best_obj, remaining)
-        if result is not None:
-            nodes += result.nodes_explored
-            if result.objective < best_obj:
-                best, best_obj = result.permutation, result.objective
-            if (status := result.status) != "optimal":
-                break
-    canonical = iter([model.ids[c] for c in chain])
-    order = tuple(next(canonical) if inst.top_kind[v] == "dummy" else v for v in best.order)
-    return SolveResult(status, Permutation(order), best_obj, perf_counter() - start, nodes)
+        contracted, root_bound = contract(bounds)
+        if root_bound >= best_obj:
+            continue
+        width = {dummies[a]: b - a for a, b in bounds}
+        tails = set(dummies).difference(width)
+        initial = Permutation(tuple(v for v in best.order if v not in tails))
+        result = solve_branch_and_bound(contracted, remaining, initial)
+        nodes += result.nodes_explored
+        if result.objective < best_obj:
+            slots = [v for h in result.permutation.order for v in [h] * width.get(h, 1)]
+            canonical = iter(dummies)
+            best = Permutation(tuple(next(canonical) if v in width else v for v in slots))
+            best_obj = result.objective
+        if (status := result.status) != "optimal":
+            break
+    return SolveResult(status, best, best_obj, perf_counter() - start, nodes)
 
 
 def _cut_set_contraction(
@@ -458,23 +462,6 @@ def _cut_set_contraction(
         return OrderingModel(ids, cost, (), None), real_root + _root_bound(cost, r)
 
     return contract
-
-
-def _search_segments(model, contract, bounds, best, best_obj, time_budget_s) -> SolveResult | None:
-    """Search one cut set of the k-gap `model`, its segments given as chain
-    slices `bounds`, through its contraction. None when the root bound
-    reaches `best_obj`; else the search from `best`, each segment at its
-    first dummy's place, expanded back."""
-    contracted, root_bound = contract(bounds)
-    if root_bound >= best_obj:
-        return None
-    chain, ids = model.chain, model.ids
-    members = {ids[chain[a]]: [ids[c] for c in chain[a:b]] for a, b in bounds}
-    head = {v: h for h, vs in members.items() for v in vs}
-    initial = Permutation(tuple(dict.fromkeys(head.get(v, v) for v in best.order)))
-    result = solve_branch_and_bound(contracted, time_budget_s, initial)
-    order = [v for h in result.permutation.order for v in members.get(h, (h,))]
-    return replace(result, permutation=Permutation(tuple(order)))
 
 
 def solve_sidegap_exact(

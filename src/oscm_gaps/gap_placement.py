@@ -145,14 +145,13 @@ def k_gap_merge(
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     _check_real_order(inst, real_order)
-    if not inst.dummy_top_ids:
-        return Permutation(real_order.order), 0
-
     dummy_order = canonical_dummy_order(inst)
     dummies = dummy_order.order
     n_real, n_dummy = len(real_order), len(dummies)
     costs = block_cost_tables(inst, real_order, dummy_order)
-    dp = merge_dp(costs, min(k, n_dummy))  # more gaps than dummies never help
+    # more gaps than dummies never help; with no dummy, merge_dp still
+    # builds its one-gap layer, whose only column j = 0 is 0
+    dp = merge_dp(costs, min(k, n_dummy))
     g, i, j = len(dp), n_real, n_dummy
     mixed = dp[-1][i][j]
 

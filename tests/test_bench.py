@@ -175,6 +175,21 @@ class TestRunBench:
             assert row["ratio_crossings"], row
             assert float(row["ratio_crossings"]) >= 1.0
 
+    def test_zero_crossing_reference_gives_ratio_one(self, tmp_path):
+        # this instance's exact optimum is 0 in both regimes
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": None,
+                "instances": 1,
+                "base_params": {"n": 2, "f_dm": "0", "deg_avg": 1, "seed": 1},
+                "algos": ["median_sidegaps", "exact_sidegaps", "median_kgaps:1", "exact_kgaps:1"],
+            }
+        )
+        rows = read_rows(run_bench(config, tmp_path)[0])
+        assert [r["optimal_crossings"] for r in rows] == ["0"] * 4
+        heuristic = [r for r in rows if r["status"] == "ok"]
+        assert [(r["crossings"], r["ratio_crossings"]) for r in heuristic] == [("0", "1.000000")] * 2
+
     def test_timed_out_exact_row_is_no_reference(self, tmp_path):
         config = BenchConfig.from_dict(
             {
@@ -206,6 +221,20 @@ class TestRunBench:
         )
         with pytest.raises(InputError, match="time budget"):
             run_bench(config, tmp_path / "out", time_budget_s=budget)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused_before_any_output(self, tmp_path, jobs):
+        config = BenchConfig.from_dict(
+            {
+                "sweep_param": None,
+                "instances": 1,
+                "base_params": {"n": 6, "f_dm": "0.2", "deg_avg": 2, "seed": 1},
+                "algos": ["median_sidegaps"],
+            }
+        )
+        with pytest.raises(InputError, match=f"jobs must be >= 1, got {jobs}"):
+            run_bench(config, tmp_path / "out", jobs=jobs)
         assert not (tmp_path / "out").exists()
 
     def test_k_sweep_bounds_the_oracle(self, tmp_path):

@@ -186,11 +186,14 @@ class TestSolve:
             ({"bottom": [{"id": 0, "kind": "real"}, {"id": True, "kind": "real"}]},
              "bad bottom node id: True"),
             ({"edges": [[0, 2], [True, 3]]}, "bad edge end: True"),
+            ({"top": [5, {"id": 3, "kind": "dummy"}]}, "bad top node entry: 5"),
+            ({"bottom": [{"id": 0, "kind": "real"}, {"id": 1, "kind": "dummy"}],
+              "edges": [[0, 2], [1, 2], [1, 3]]}, "bottom node 1 has degree 2"),
         ],
         ids=[
             "unknown_edge_id", "pi1_short", "duplicate_id", "dummy_two_edges",
             "fractional_id", "fractional_edge_end", "fractional_pi1", "boolean_id",
-            "boolean_edge_end",
+            "boolean_edge_end", "node_not_object", "bottom_dummy_two_edges",
         ],
     )
     def test_malformed_instance_exit_2(self, runner, tmp_path, change, message):
@@ -220,6 +223,16 @@ class TestOracleCommand:
         result = invoke(runner, "oracle", inst_path, "--mode", mode, "--k", k)
         assert result.exit_code == 2
         assert f"{mode} mode takes no k" in result.output
+
+    @pytest.mark.parametrize(
+        "k_args, message", [([], "kgap mode requires k"), (["--k", 0], "k must be >= 1, got 0")]
+    )
+    def test_kgap_without_valid_k_exit_2(self, runner, tmp_path, k_args, message):
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 6, "--out", inst_path)
+        result = invoke(runner, "oracle", inst_path, "--mode", "kgap", *k_args)
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_refusal_over_nine_top_nodes(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -305,17 +318,23 @@ class TestBenchCommand:
             ({**SMALL, "sweep_param": "n", "values": []}, "values must be a non-empty list"),
             ({**SMALL, "algos": ["median_kgaps:2.5"]}, "must be an integer, got '2.5'"),
             ({**SMALL, "algos": ["median_kgaps:true"]}, "bad k of 'median_kgaps:true'"),
+            ({**SMALL, "sweep_param": "seed", "values": [1]}, "sweep_param must be one of"),
+            ({**SMALL, "base_params": [6]}, "base_params must be an object"),
+            ({**SMALL, "algos": []}, "config lists no algorithms"),
+            ('{"algos": ', "invalid bench config"),
         ],
         ids=[
             "list_config", "instances_text", "seed_text", "n_text", "k_text",
             "algo_number", "k_fraction", "k_zero", "algos_string", "unknown_key",
             "unknown_base_key", "needs_k", "empty_values", "k_suffix_fraction",
-            "k_suffix_boolean",
+            "k_suffix_boolean", "unsweepable", "base_params_list", "no_algos",
+            "invalid_json",
         ],
     )
     def test_malformed_config_exit_2(self, runner, tmp_path, config, message):
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps(config))
+        # a string is written as it stands: the config's raw text
+        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
         result = invoke(runner, "bench", "--config", config_path, "--out", tmp_path / "out")
         assert result.exit_code == 2, result.output
         assert message in result.output

@@ -21,7 +21,9 @@ from oracles import (
 
 from oscm_gaps import exact
 from oscm_gaps.core import (
+    BipartiteInstance,
     InputError,
+    Node,
     Permutation,
     count_crossings,
     count_gaps,
@@ -375,6 +377,14 @@ class TestOracle:
     def test_k_outside_kgap_mode_refused(self, mode, k):
         with pytest.raises(InputError, match=f"{mode} mode takes no k"):
             brute_force_oracle(gen(6, 0.3, 2, 7), mode, k=k)
+
+    def test_empty_top(self):
+        inst = BipartiteInstance.build([Node(0, "real")], [], [])
+        optima = enumerate_optima(inst, ks=(1, 2))
+        modes = ["unrestricted", "sidegap", ("kgap", 1), ("kgap", 2)]
+        assert optima == dict.fromkeys(modes, ((), 0))
+        with pytest.raises(InputError, match="k must be >= 1, got 0"):
+            enumerate_optima(inst, ks=(0,))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_itertools_enumeration(self, seed):
