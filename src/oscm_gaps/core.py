@@ -194,14 +194,6 @@ class BipartiteInstance:
         return len(self.edges)
 
 
-def restrict_top(inst: BipartiteInstance, keep: Iterable[int]) -> BipartiteInstance:
-    """Drop top nodes outside `keep` (and their edges); bottom layer unchanged."""
-    keep = set(keep)
-    top = tuple(v for v in inst.top if v.id in keep)
-    edges = frozenset((b, t) for b, t in inst.edges if t in keep)
-    return BipartiteInstance(inst.bottom, top, edges, inst.pi1)
-
-
 def validate_instance(inst: BipartiteInstance) -> list[str]:
     """Return the list of violated invariants (empty means valid)."""
     violations: list[str] = []
@@ -272,28 +264,15 @@ def count_crossings(inst: BipartiteInstance, pi2: Permutation) -> int:
     return crossings
 
 
-@dataclass(frozen=True)
-class CrossingMatrix:
-    """Dense pairwise crossing counts c[u][v] for ordered top pairs."""
-
-    ids: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.ids)}
-
-    def cost(self, u: int, v: int) -> int:
-        return self.rows[self.index[u]][self.index[v]]
-
-
-def pairwise_crossings(inst: BipartiteInstance) -> CrossingMatrix:
-    """c[u][v]: crossings between edges of u and edges of v when u
-    precedes v. Each unordered pair is counted once: c[u][v] counts the
-    neighbor pairs (a in N(u), b in N(v)) with b strictly left of a, and
-    since a node's neighbor positions are distinct, the pairs left are the
-    |N(u) & N(v)| shared neighbors and the c[v][u] pairs with a left of b."""
-    ids = inst.top_ids
+def pairwise_crossings(
+    inst: BipartiteInstance, ids: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows c[u][v] over the top nodes `ids`, aligned with `ids`: the
+    crossings between edges of u and edges of v when u precedes v. Each
+    unordered pair is counted once: c[u][v] counts the neighbor pairs
+    (a in N(u), b in N(v)) with b strictly left of a, and since a node's
+    neighbor positions are distinct, the pairs left are the |N(u) & N(v)|
+    shared neighbors and the c[v][u] pairs with a left of b."""
     positions = [inst.neighbor_positions[v] for v in ids]
     rows = [[0] * len(ids) for _ in ids]
     for i, pos_u in enumerate(positions):
@@ -304,7 +283,7 @@ def pairwise_crossings(inst: BipartiteInstance) -> CrossingMatrix:
             c_uv = sum(map(bisect_left, repeat(pos_v), pos_u))
             row_u[j] = c_uv
             rows[j][i] = len(pos_u) * len(pos_v) - c_uv - len(shared(pos_v))
-    return CrossingMatrix(ids, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 def count_gaps(inst: BipartiteInstance, pi2: Permutation) -> GapReport:

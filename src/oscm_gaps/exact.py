@@ -7,14 +7,15 @@ dummies that count real interruptions of the canonical dummy order.
 Branch-and-bound searches permutation space directly, so transitivity
 holds implicitly in every explored state. It is plain OSCM: a k-gap
 optimum is the best optimum over the cut sets of the canonical d-dummy
-chain into min(k, d) segments, each searched as one node.
+chain into min(k, d) segments, each searched as one node, and the
+unrestricted optimum is the k-gap one at k = max(1, d).
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
 from operator import add, getitem, sub
 from time import perf_counter
@@ -26,7 +27,6 @@ from .core import (
     Permutation,
     count_crossings,
     pairwise_crossings,
-    restrict_top,
 )
 from .gap_placement import canonical_dummy_order, side_gap_merge, solve_kgaps
 from .heuristics import heuristic_order
@@ -57,28 +57,21 @@ class OrderingModel:
         return tuple(zip(self.chain, self.chain[1:]))
 
 
-def build_base_oscm_model(inst: BipartiteInstance) -> OrderingModel:
-    """Plain crossing-minimization model: ordering variables and
-    antisymmetry/transitivity only, no dummy or gap machinery."""
-    return _build(inst, (), gap_budget=None)
+def build_base_oscm_model(inst: BipartiteInstance, ids: tuple[int, ...]) -> OrderingModel:
+    """Plain crossing-minimization model over the top nodes `ids`:
+    ordering variables and antisymmetry/transitivity only, no dummy or gap
+    machinery."""
+    return OrderingModel(ids, pairwise_crossings(inst, ids), (), None)
 
 
 def build_kgap_model(inst: BipartiteInstance, k: int) -> OrderingModel:
     """Model with the canonical dummy order fixed and at most k gaps."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    return _build(inst, canonical_dummy_order(inst).order, gap_budget=k - 1)
-
-
-def _build(inst: BipartiteInstance, chain: tuple[int, ...], gap_budget: int | None) -> OrderingModel:
     ids = inst.top_ids
     index = {v: i for i, v in enumerate(ids)}
-    return OrderingModel(
-        ids=ids,
-        cost=pairwise_crossings(inst).rows,
-        chain=tuple(index[d] for d in chain),
-        gap_budget=gap_budget,
-    )
+    chain = tuple(index[d] for d in canonical_dummy_order(inst).order)
+    return OrderingModel(ids, pairwise_crossings(inst, ids), chain, k - 1)
 
 
 def export_model(model: OrderingModel) -> str:
@@ -291,8 +284,7 @@ def enumerate_optima(
     for k in ks:
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
-    matrix = pairwise_crossings(inst)
-    cost = [[matrix.cost(u, v) for v in ids] for u in ids]
+    cost = pairwise_crossings(inst, ids)
     dummy = [inst.top_kind[v] == "dummy" for v in ids]
 
     inf = inst.m * inst.m + 1
@@ -373,12 +365,9 @@ def brute_force_oracle(
 def solve_unrestricted_exact(
     inst: BipartiteInstance, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> SolveResult:
-    """Exact optimum over all top permutations (no gap constraint)."""
-    start = perf_counter()
-    model = build_base_oscm_model(inst)
-    initial = heuristic_order(inst, inst.top_ids, "median")
-    result = solve_branch_and_bound(model, time_budget_s, initial)
-    return replace(result, wall_time_s=perf_counter() - start)
+    """Exact optimum over all top permutations: no order of d dummies has
+    more than d gaps, so it is the k-gap optimum at k = max(1, d)."""
+    return solve_kgap_exact(inst, max(1, len(inst.dummy_top_ids)), time_budget_s)
 
 
 def solve_kgap_exact(
@@ -467,12 +456,16 @@ def _cut_set_contraction(
 def solve_sidegap_exact(
     inst: BipartiteInstance, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> SolveResult:
-    """Exact optimum over side-gap permutations: the unrestricted optimum
-    of the real nodes, with the dummies then placed into side gaps (the
-    placement is independent of the real order, so the composition stays
-    exact)."""
+    """Exact optimum over side-gap permutations: the optimum order of the
+    real nodes, searched from their median order, with the dummies then
+    placed into side gaps (the placement is independent of the real order,
+    so the composition stays exact). Crossings among real nodes do not
+    depend on the dummies, so the search reads the real nodes' rows of the
+    instance's crossing counts."""
     start = perf_counter()
-    inner = solve_unrestricted_exact(restrict_top(inst, inst.real_top_ids), time_budget_s)
+    reals = inst.real_top_ids
+    model = build_base_oscm_model(inst, reals)
+    inner = solve_branch_and_bound(model, time_budget_s, heuristic_order(inst, reals, "median"))
     merged = side_gap_merge(inst, inner.permutation)
     return SolveResult(
         inner.status,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from oscm_gaps.bench import BenchConfig
 from oscm_gaps.core import BipartiteInstance, Node, Permutation
 from oscm_gaps.generator import GenParams, generate
 
@@ -42,6 +43,14 @@ def precedes(pi: Permutation, x: int, y: int) -> bool:
     return pi.position[x] < pi.position[y]
 
 
+def restrict_top(inst: BipartiteInstance, keep) -> BipartiteInstance:
+    """Drop top nodes outside `keep` (and their edges); bottom layer unchanged."""
+    keep = set(keep)
+    top = tuple(v for v in inst.top if v.id in keep)
+    edges = frozenset((b, t) for b, t in inst.edges if t in keep)
+    return BipartiteInstance(inst.bottom, top, edges, inst.pi1)
+
+
 def load_script(name: str):
     """The experiment script `name` as a module. Its directory is put on
     sys.path, as it is when the script is run, so that the script finds
@@ -52,6 +61,13 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def desk_config(script: str) -> BenchConfig:
+    """The desk-scale config of an experiment script, at its defaults."""
+    sweep = load_script(script).config(False)
+    base = {"f_dm": "0.2", "deg_avg": 3, "seed": 1, **sweep.get("base_params", {})}
+    return BenchConfig.from_dict({**sweep, "instances": 20, "base_params": base})
 
 
 @st.composite

@@ -231,7 +231,7 @@ def test_criterion_8_crossing_count_consistency():
             f_dm = ("0", "0.25", "0.5")[seed % 3]
             deg_avg = (1, 2, 3)[seed % 3]
             inst = gen(n, f_dm, deg_avg, seed)
-            model = build_base_oscm_model(inst)
+            model = build_base_oscm_model(inst, inst.top_ids)
             rng = random.Random(1000 * n + seed)
             for _ in range(10):
                 order = list(inst.top_ids)

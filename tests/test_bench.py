@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import gen, load_script
+from conftest import desk_config, gen
 
 from oscm_gaps import bench
 from oscm_gaps.bench import (
@@ -31,13 +31,6 @@ from oscm_gaps.heuristics import heuristic_order
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
-
-
-def desk_config(script: str) -> BenchConfig:
-    """The desk-scale config of an experiment script, at its defaults."""
-    sweep = load_script(script).config(False)
-    base = {"f_dm": "0.2", "deg_avg": 3, "seed": 1, **sweep.get("base_params", {})}
-    return BenchConfig.from_dict({**sweep, "instances": 20, "base_params": base})
 
 
 @pytest.fixture

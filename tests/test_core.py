@@ -22,7 +22,6 @@ from oscm_gaps.core import (
     pairwise_crossings,
     permutation_from_json,
     permutation_to_json,
-    restrict_top,
     validate_instance,
 )
 from oscm_gaps.exact import build_base_oscm_model, objective_value
@@ -178,7 +177,7 @@ class TestCountCrossings:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_matrix_sum_and_naive_on_random_5x5(self, seed):
         inst = gen(5, 0.25, 2, seed)
-        model = build_base_oscm_model(inst)
+        model = build_base_oscm_model(inst, inst.top_ids)
         ids = list(inst.top_ids)
         for shift in range(4):
             order = tuple(ids[shift:] + ids[:shift][::-1])
@@ -191,41 +190,61 @@ class TestCountCrossings:
     @settings(max_examples=60)
     def test_inversion_count_equals_matrix_sum(self, inst):
         pi2 = Permutation(tuple(sorted(inst.top_ids, reverse=True)))
-        assert count_crossings(inst, pi2) == objective_value(build_base_oscm_model(inst), pi2)
+        model = build_base_oscm_model(inst, inst.top_ids)
+        assert count_crossings(inst, pi2) == objective_value(model, pi2)
 
 
 class TestPairwiseCrossings:
     def test_disjoint_singletons(self):
         inst = mk_instance("rr", "rr", [(0, 100), (1, 101)])
-        m = pairwise_crossings(inst)
-        assert m.cost(100, 101) == 0
-        assert m.cost(101, 100) == 1
+        # row u, column v: crossings with u before v
+        assert pairwise_crossings(inst, (100, 101)) == ((0, 0), (1, 0))
+        assert pairwise_crossings(inst, (101, 100)) == ((0, 1), (0, 0))
 
     def test_shared_endpoint_never_crosses(self):
         inst = mk_instance("r", "rr", [(0, 100), (0, 101)])
-        m = pairwise_crossings(inst)
-        assert m.cost(100, 101) == 0
-        assert m.cost(101, 100) == 0
+        assert pairwise_crossings(inst, (100, 101)) == ((0, 0), (0, 0))
 
     def test_six_node_instance_matches_naive(self):
         inst = gen(6, 0.3, 2, 11)
-        m = pairwise_crossings(inst)
-        for u in inst.top_ids:
-            for v in inst.top_ids:
+        ids = inst.top_ids
+        rows = pairwise_crossings(inst, ids)
+        for row, u in zip(rows, ids):
+            for c_uv, v in zip(row, ids):
                 if u != v:
-                    assert m.cost(u, v) == naive_pair_crossings(inst, u, v)
+                    assert c_uv == naive_pair_crossings(inst, u, v)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_rows_of_any_subset_are_a_block_of_the_full_rows(self, data):
+        """Crossings between two top nodes depend on those two alone, so
+        the rows of any subset, in any order, are the matching block of
+        the full rows: the real nodes' rows do not depend on the dummies."""
+        inst = data.draw(instances())
+        ids = inst.top_ids
+        full = pairwise_crossings(inst, ids)
+        shuffled = data.draw(st.permutations(ids))
+        drawn = tuple(shuffled[: data.draw(st.integers(0, len(ids)))])
+        for subset in (inst.real_top_ids, inst.dummy_top_ids, drawn):
+            at = [ids.index(v) for v in subset]
+            rows = pairwise_crossings(inst, subset)
+            assert rows == tuple(tuple(full[i][j] for j in at) for i in at)
+            for row, u in zip(rows, subset):
+                for c_uv, v in zip(row, subset):
+                    assert c_uv == (naive_pair_crossings(inst, u, v) if u != v else 0)
 
     @given(instances())
     @settings(max_examples=60)
     def test_pair_sum_bounded_by_degree_product(self, inst):
-        m = pairwise_crossings(inst)
-        for u in inst.top_ids:
+        ids = inst.top_ids
+        rows = pairwise_crossings(inst, ids)
+        for i, u in enumerate(ids):
             nu = {b for b, t in inst.edges if t == u}
-            for v in inst.top_ids:
+            for j, v in enumerate(ids):
                 if u == v:
                     continue
                 nv = {b for b, t in inst.edges if t == v}
-                both = m.cost(u, v) + m.cost(v, u)
+                both = rows[i][j] + rows[j][i]
                 assert both <= len(nu) * len(nv)
                 if nu & nv:
                     assert both < len(nu) * len(nv)
@@ -236,9 +255,8 @@ class TestPairwiseCrossings:
 class TestBlockCrossings:
     def test_singletons_collapse_to_matrix_entry(self):
         inst = gen(6, 0.3, 2, 3)
-        m = pairwise_crossings(inst)
         u, v = inst.top_ids[0], inst.top_ids[1]
-        assert naive_block_crossings(inst, [u], [v]) == m.cost(u, v)
+        assert naive_block_crossings(inst, [u], [v]) == pairwise_crossings(inst, (u, v))[0][1]
 
     def test_empty_block(self):
         inst = gen(4, 0, 2, 0)
@@ -249,8 +267,8 @@ class TestBlockCrossings:
         inst = gen(6, 0.3, 2, seed)
         ids = inst.top_ids
         block_a, block_b = [ids[0], ids[2]], [ids[1], ids[3]]
-        m = pairwise_crossings(inst)
-        expected = sum(m.cost(u, v) for u in block_a for v in block_b)
+        rows = pairwise_crossings(inst, block_a + block_b)
+        expected = sum(rows[i][j] for i in range(2) for j in range(2, 4))
         assert expected == naive_block_crossings(inst, block_a, block_b)
 
 
@@ -329,12 +347,3 @@ class TestJson:
     def test_permutation_round_trip(self):
         pi = Permutation((5, 3, 1))
         assert permutation_from_json(permutation_to_json(pi)) == pi
-
-
-class TestRestrictTop:
-    def test_drops_nodes_and_edges(self):
-        inst = mk_instance("rr", "rd", [(0, 100), (1, 101)])
-        reduced = restrict_top(inst, {100})
-        assert reduced.top_ids == (100,)
-        assert reduced.edges == frozenset({(0, 100)})
-        assert reduced.pi1 == inst.pi1

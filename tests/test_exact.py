@@ -28,7 +28,6 @@ from oscm_gaps.core import (
     count_crossings,
     count_gaps,
     pairwise_crossings,
-    restrict_top,
 )
 from oscm_gaps.exact import (
     _cut_set_contraction,
@@ -71,7 +70,7 @@ class TestModelBuilding:
 
     def test_three_nodes_constraint_counts(self):
         inst = gen(3, 0, 1, 0)
-        payload = exported(build_base_oscm_model(inst))
+        payload = exported(build_base_oscm_model(inst, inst.top_ids))
         assert len(payload["vars"]) == 6
         constraints = payload["constraints"]
         transitivity = [c for c in constraints if len(c["terms"]) == 3 and c["op"] == "<="]
@@ -87,13 +86,13 @@ class TestModelBuilding:
 class TestExport:
     def test_empty_model(self):
         inst = gen(1, 0, 1, 0)  # single top node: no pairs at all
-        assert exported(build_base_oscm_model(inst)) == {
+        assert exported(build_base_oscm_model(inst, inst.top_ids)) == {
             "vars": [], "objective": [], "constraints": []
         }
 
     def test_two_node_model(self):
         inst = gen(2, 0, 1, 0)
-        payload = exported(build_base_oscm_model(inst))
+        payload = exported(build_base_oscm_model(inst, inst.top_ids))
         assert len(payload["vars"]) == 2
         assert len([c for c in payload["constraints"] if c["op"] == "="]) == 1
 
@@ -105,7 +104,7 @@ class TestExport:
             for f_dm in ("0", "0.25", "0.5", "1"):
                 for seed in range(4):
                     inst = gen(n, f_dm, 2, seed)
-                    models = [build_base_oscm_model(inst)]
+                    models = [build_base_oscm_model(inst, inst.top_ids)]
                     models += [build_kgap_model(inst, k) for k in (1, 2, 3)]
                     for model in models:
                         digest.update(export_model(model).encode())
@@ -129,14 +128,15 @@ class TestExport:
 class TestBranchAndBound:
     def test_two_node_model(self):
         inst = mk_instance("rr", "rr", [(0, 101), (1, 100)])
-        matrix = pairwise_crossings(inst)
-        model = build_base_oscm_model(inst)
+        (_, c_uv), (c_vu, _) = pairwise_crossings(inst, (100, 101))
+        model = build_base_oscm_model(inst, inst.top_ids)
         result = solve_branch_and_bound(model, 10.0, Permutation(model.ids))
         assert result.status == "optimal"
-        assert result.objective == min(matrix.cost(100, 101), matrix.cost(101, 100))
+        assert result.objective == min(c_uv, c_vu)
 
     def test_single_node(self):
-        model = build_base_oscm_model(gen(1, 0, 1, 0))
+        inst = gen(1, 0, 1, 0)
+        model = build_base_oscm_model(inst, inst.top_ids)
         result = solve_branch_and_bound(model, 10.0, Permutation(model.ids))
         assert result.status == "optimal"
         assert result.objective == 0
@@ -145,7 +145,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("seed", range(10))
     def test_objective_at_least_pair_minimum(self, seed):
         inst = gen(7, 0.3, 3, seed)
-        model = build_base_oscm_model(inst)
+        model = build_base_oscm_model(inst, inst.top_ids)
         result = solve_branch_and_bound(model, 10.0, Permutation(model.ids))
         ids = model.ids
         floor_bound = sum(
@@ -158,7 +158,8 @@ class TestBranchAndBound:
     def test_zero_budget_with_incumbent(self):
         inst = gen(5, 0, 2, 0)
         initial = heuristic_order(inst, inst.top_ids, "median")
-        result = solve_branch_and_bound(build_base_oscm_model(inst), 0.0, initial=initial)
+        model = build_base_oscm_model(inst, inst.top_ids)
+        result = solve_branch_and_bound(model, 0.0, initial=initial)
         assert result.status == "timeout_incumbent"
         assert result.permutation == initial
         assert result.objective == count_crossings(inst, initial)
@@ -253,7 +254,7 @@ class TestMatchesReferenceSearch:
     @given(instances())
     @settings(max_examples=60, deadline=None)
     def test_hypothesis_instances(self, inst):
-        model = build_base_oscm_model(inst)
+        model = build_base_oscm_model(inst, inst.top_ids)
         assert_same_search(model, Permutation(model.ids))
         assert_same_search(model, heuristic_order(inst, inst.top_ids, "median"))
         for k in (1, 2, 3):
@@ -264,12 +265,8 @@ class TestMatchesReferenceSearch:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_desk_scale_cells(self, n, seed):
         inst = gen(n, "0.2", 3, seed)
-        reals = inst.real_top_ids
-        restricted = restrict_top(inst, reals)
-        assert_same_search(
-            build_base_oscm_model(restricted), heuristic_order(restricted, reals, "median")
-        )
-        assert_same_search(build_base_oscm_model(inst), heuristic_order(inst, inst.top_ids, "median"))
+        for ids in (inst.real_top_ids, inst.top_ids):
+            assert_same_search(build_base_oscm_model(inst, ids), heuristic_order(inst, ids, "median"))
         for k in (1, 2, 3, 5):
             assert_same_kgap_optimum(inst, k, solve_kgaps(inst, "median", k))
         assert_same_kgap_optimum(inst, 2, None)
@@ -278,7 +275,7 @@ class TestMatchesReferenceSearch:
     def test_deep_base_model(self, seed):
         # 24 nodes: the maintained vectors are checked 24 levels deep
         inst = gen(24, "0.2", 3, seed)
-        model = build_base_oscm_model(inst)
+        model = build_base_oscm_model(inst, inst.top_ids)
         assert len(model.ids) == 24
         assert_same_search(model, Permutation(model.ids))
         assert_same_search(model, heuristic_order(inst, inst.top_ids, "median"))
@@ -307,7 +304,7 @@ class TestMatchesReferenceSearch:
             new, ref = assert_same_kgap_optimum(inst, 2, initial, time_budget_s=0.0)
             assert (new.permutation, new.nodes_explored) == (ref.permutation, ref.nodes_explored)
         else:
-            model = build_base_oscm_model(inst)
+            model = build_base_oscm_model(inst, inst.top_ids)
             assert_same_search(model, Permutation(model.ids), time_budget_s=0.0)
 
 
@@ -321,7 +318,7 @@ class TestWallTime:
         "solve, build_name, incumbent_name",
         [
             (lambda inst: solve_kgap_exact(inst, 2), "build_kgap_model", "solve_kgaps"),
-            (solve_unrestricted_exact, "build_base_oscm_model", "heuristic_order"),
+            (solve_unrestricted_exact, "build_kgap_model", "solve_kgaps"),
             (solve_sidegap_exact, "build_base_oscm_model", "heuristic_order"),
         ],
         ids=["kgap", "unrestricted", "sidegap"],
@@ -473,7 +470,8 @@ class TestTimeBudget:
 
     @pytest.mark.parametrize("budget", BAD)
     def test_search_refuses(self, budget):
-        model = build_base_oscm_model(gen(12, 0.2, 3, 1))
+        inst = gen(12, 0.2, 3, 1)
+        model = build_base_oscm_model(inst, inst.top_ids)
         with pytest.raises(InputError, match="time budget"):
             solve_branch_and_bound(model, budget, Permutation(model.ids))
 
@@ -578,3 +576,26 @@ class TestKgapCutSets:
         assert result.status == "optimal"
         assert result.objective == enumerate_optima(inst, ks=(2,))[("kgap", 2)][1]
         assert_kgap_output(inst, result, 2)
+
+
+class TestUnrestrictedReduction:
+    """The unrestricted solve is the k-gap solve at k = max(1, d): no order
+    of d dummies has more than d gaps, so that budget binds nothing."""
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_and_kgap_at_d(self, inst):
+        d = len(inst.dummy_top_ids)
+        result = solve_unrestricted_exact(inst)
+        assert result.status == "optimal"
+        assert result.objective == enumerate_optima(inst)["unrestricted"][1]
+        for k in (max(1, d), d + 1):
+            assert solve_kgap_exact(inst, k).objective == result.objective
+        assert_kgap_output(inst, result, d)
+
+    @pytest.mark.parametrize("seed, optimum", [(1, 1802), (2, 1915), (3, 1774)])
+    def test_paper_scale(self, seed, optimum):
+        inst = gen(40, "0.2", 3, seed)
+        result = solve_unrestricted_exact(inst, 60.0)
+        assert (result.status, result.objective) == ("optimal", optimum)
+        assert_kgap_output(inst, result, len(inst.dummy_top_ids))

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import gen, induced, instances, mk_instance
+from conftest import gen, induced, instances, mk_instance, restrict_top
 from oracles import best_by_enumeration, naive_crossings
 
-from oscm_gaps.core import InputError, restrict_top
+from oscm_gaps.core import InputError
 from oscm_gaps.heuristics import heuristic_key, heuristic_order
 
 
@@ -85,6 +85,17 @@ class TestDummyIndependence:
     @settings(max_examples=40)
     def test_witness_on_arbitrary_instances(self, kind, inst):
         assert is_dummy_independent_witness(inst, kind)
+
+
+class TestRestrictTop:
+    """The witness's real-only instance."""
+
+    def test_drops_nodes_and_edges(self):
+        inst = mk_instance("rr", "rd", [(0, 100), (1, 101)])
+        reduced = restrict_top(inst, {100})
+        assert reduced.top_ids == (100,)
+        assert reduced.edges == frozenset({(0, 100)})
+        assert reduced.pi1 == inst.pi1
 
 
 class TestApproximation:

@@ -1,17 +1,22 @@
 """Every function the traced benchmark wraps still exists where its
-callers look it up, and the search keeps the parameters its recorder
-reads, so a refactor that breaks either fails here and not only under
-`python -m pytest perfbench`."""
+callers look it up and is called there, and the search keeps the
+parameters its recorder reads, so a refactor that breaks any of these
+fails here and not only under `python -m pytest perfbench`."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from conftest import desk_config
+
+from oscm_gaps import bench
 from oscm_gaps.exact import solve_branch_and_bound
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -36,3 +41,23 @@ def test_search_parameters_are_the_recorder_contract():
     # args[2] or the keyword `initial`
     params = list(inspect.signature(solve_branch_and_bound).parameters)
     assert params[:3] == ["model", "time_budget_s", "initial"]
+
+
+def test_every_target_is_called_by_the_desk_configs(tmp_path, monkeypatch):
+    # a target kept only as an unused module global would record no span
+    targets = [(module, attr) for module, attr, _, _ in _targets()]
+    calls = Counter()
+
+    def counted(target, fn):
+        def call(*args, **kwargs):
+            calls[target] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module, attr in targets:
+        owner = importlib.import_module(f"oscm_gaps.{module}")
+        monkeypatch.setattr(owner, attr, counted((module, attr), getattr(owner, attr)))
+    for script in ("experiment_gap_count", "experiment_sidegaps_vs_2gaps"):
+        bench.run_bench(replace(desk_config(script), instances=1), tmp_path / script)
+    assert [target for target in targets if not calls[target]] == []
