@@ -9,9 +9,12 @@ program over (gaps used, real prefix, dummy prefix).
 With s_i[j] the summed cost of the first j dummies at real boundary i,
 the block term min_{j'<=j}(dp[g-1][i][j'] + s_i[j] - s_i[j']) is a
 running prefix minimum of dp[g-1][i] - s_i, so the merge takes
-O(k·r·d) time for r real and d dummy nodes. The backtrack re-derives each
-step from the dp rows with a fixed tie rule: advancing to boundary i-1
-wins ties, else the smallest split j' reaching the minimum.
+O(k·r·d) time for r real and d dummy nodes. The DP builds layers
+1..k-1 in full; the top layer is read only at j = d, so it is one
+column, and at k = 1 that column comes from the boundary totals s_i[d]
+without any cost row. The backtrack re-derives each step from the dp
+rows with a fixed tie rule: advancing to boundary i-1 wins ties, else
+the smallest split j' reaching the minimum.
 """
 
 from __future__ import annotations
@@ -105,15 +108,18 @@ def _rowwise_min(above: list[int], row: list[int]) -> list[int]:
 
 def merge_dp(costs: list[list[int]], k: int) -> list[list[list[int]]]:
     """Merge DP over the `block_cost_tables` rows `costs`, one layer per
-    gap budget g = 1..k (layer g at index g - 1): dp[g][i][j] is the
-    minimum mixed crossing count when the first j dummies sit in at most
-    g gaps at real boundaries <= i.
+    gap budget g = 1..k (layer g at index g - 1), each built in full:
+    dp[g][i][j] is the minimum mixed crossing count when the first j
+    dummies sit in at most g gaps at real boundaries <= i. At k = 0 it
+    returns no layer.
 
     dp[g][i] = min(dp[g][i-1], prefmin_j(dp[g-1][i] - s_i) + s_i),
     elementwise, with s_i = costs[i]: O(k·r·d) for r real and d dummy
     nodes. With no gap only j = 0 is reachable, so the one-gap block
     term is s_i itself.
     """
+    if k < 1:
+        return []
     dp = [list(accumulate(costs, _rowwise_min))]
     for _ in range(1, k):
         prev_layer = dp[-1]
@@ -136,28 +142,71 @@ def merge_dp(costs: list[list[int]], k: int) -> list[list[list[int]]]:
     return dp
 
 
+def boundary_totals(
+    inst: BipartiteInstance, real_order: Permutation, dummy_order: Permutation
+) -> list[int]:
+    """Entry i is the mixed cost of all dummies in one block after the
+    first i real nodes: the last column of `block_cost_tables`, from the
+    real nodes' edges alone in O(E + b) for E real edges and b bottom
+    positions.
+
+    At boundary 0 each dummy crosses the real edges left of it. Moving
+    real node r before the block adds, per edge of r at position p, the
+    dummies left of p and drops those right of it: weight[p]."""
+    q = [qt for qt in (_dummy_position(inst, d) for d in dummy_order.order) if qt >= 0]
+    at = [0] * len(inst.pi1)
+    for qt in q:
+        at[qt] += 1
+    below = list(accumulate(at, initial=0))  # dummies left of each position
+    weight = [x + y - len(q) for x, y in zip(below, below[1:])]
+    neigh = inst.neighbor_positions
+    left = inst.real_edges_before
+    return list(
+        accumulate(
+            (sum(map(weight.__getitem__, neigh[r])) for r in real_order.order),
+            initial=sum(left[qt] for qt in q),
+        )
+    )
+
+
 def k_gap_merge(
     inst: BipartiteInstance, real_order: Permutation, k: int
 ) -> tuple[Permutation, int]:
     """Merge `real_order` with the canonical dummy order using at most k
     gaps, minimizing crossings between real-incident and dummy-incident
-    edge pairs. Returns the merged permutation and that mixed cost."""
+    edge pairs. Returns the merged permutation and that mixed cost.
+
+    Only the last block's boundary reads the top layer, at column j = d,
+    so that layer is one column: min(dp[k-1][i] - s_i) + s_i[d] per
+    boundary i. At one gap its terms are the `boundary_totals`, and no
+    cost row is built."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     _check_real_order(inst, real_order)
     dummy_order = canonical_dummy_order(inst)
     dummies = dummy_order.order
     n_real, n_dummy = len(real_order), len(dummies)
-    costs = block_cost_tables(inst, real_order, dummy_order)
-    # more gaps than dummies never help; with no dummy, merge_dp still
-    # builds its one-gap layer, whose only column j = 0 is 0
-    dp = merge_dp(costs, min(k, n_dummy))
-    g, i, j = len(dp), n_real, n_dummy
-    mixed = dp[-1][i][j]
+    # more gaps than dummies never help; with no dummy, one gap holds the
+    # empty block
+    k = max(1, min(k, n_dummy))
+    if k > 1:
+        costs = block_cost_tables(inst, real_order, dummy_order)
+        dp = merge_dp(costs, k - 1)
+        column = [min(map(sub, p, s)) + s[-1] for p, s in zip(dp[-1], costs)]
+    else:
+        column = boundary_totals(inst, real_order, dummy_order)
+    # the top layer is the running minimum of `column`; its walk down the
+    # ties stops at the earliest boundary that reaches the minimum
+    mixed = min(column)
+    i = column.index(mixed)
+    boundary = [i] * n_dummy
+    g, j = k - 1, 0
+    if g:  # the last block starts at the smallest split reaching the minimum
+        s_i = costs[i]
+        j = list(map(sub, dp[-1][i], s_i)).index(mixed - s_i[-1])
 
     # Re-derive each step from the dp rows: advancing to boundary i-1 wins
     # ties, else the smallest split j' that reaches the minimum.
-    boundary = [0] * n_dummy
     while j:
         layer = dp[g - 1]
         value = layer[i][j]

@@ -8,6 +8,7 @@ library code paths it checks.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from time import perf_counter
 from typing import Literal
@@ -192,6 +193,25 @@ def best_bounded_gap_merge(inst: BipartiteInstance, real_order: Permutation, dum
         if best_total is None or total < best_total:
             best_total = total
     return best_mixed, best_total
+
+
+def reference_heuristic_order(inst: BipartiteInstance, subset, kind: str) -> Permutation:
+    """The heuristic order with exact-rational keys: the left median or the
+    `Fraction` mean of a node's neighbor positions (-1 at degree 0), then
+    0 for odd and 1 for even degree, then the id."""
+
+    def key(v):
+        positions = inst.neighbor_positions[v]
+        deg = len(positions)
+        if deg == 0:
+            value = -1
+        elif kind == "median":
+            value = positions[(deg - 1) // 2]
+        else:
+            value = Fraction(sum(positions), deg)
+        return value, 0 if deg % 2 else 1, v
+
+    return Permutation(tuple(sorted(subset, key=key)))
 
 
 def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: int):

@@ -22,6 +22,7 @@ from oscm_gaps.core import (
 )
 from oscm_gaps.gap_placement import (
     block_cost_tables,
+    boundary_totals,
     canonical_dummy_order,
     k_gap_merge,
     merge_dp,
@@ -133,6 +134,16 @@ class TestBlockCostTables:
                     assert rows[i][j] - rows[i][jp] == expected
 
 
+    @pytest.mark.parametrize("n,f_dm,seed", [(7, 0.4, 1), (16, 0.2, 2), (200, 0.2, 1), (200, 0.8, 2)])
+    def test_boundary_totals_are_the_last_column(self, n, f_dm, seed):
+        inst = gen(n, f_dm, 3, seed)
+        for kind in ("median", "barycenter"):
+            real_order = real_order_of(inst, kind)
+            dummy_order = canonical_dummy_order(inst)
+            rows = block_cost_tables(inst, real_order, dummy_order)
+            assert boundary_totals(inst, real_order, dummy_order) == [row[-1] for row in rows]
+
+
 class TestMergeTable:
     def test_base_cases_and_monotone_in_g(self):
         inst = gen(8, 0.5, 2, 4)
@@ -154,6 +165,25 @@ class TestMergeTable:
                 for j in range(n_dummy + 1):
                     assert dp[g][i][j] <= dp[g - 1][i][j]
 
+    def test_no_layer_at_zero_gaps(self):
+        inst = gen(8, 0.5, 2, 4)
+        costs = block_cost_tables(inst, real_order_of(inst), canonical_dummy_order(inst))
+        assert merge_dp(costs, 0) == []
+
+    @pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (200, 1)])
+    @pytest.mark.parametrize("kind", ["median", "barycenter"])
+    def test_top_column_is_the_full_layer_corner(self, n, seed, kind):
+        # k_gap_merge builds only the top layer's last column (or, at one
+        # gap, the boundary totals); its minimum is the full layer's corner
+        inst = gen(n, "0.2", 3, seed)
+        real_order = real_order_of(inst, kind)
+        costs = block_cost_tables(inst, real_order, canonical_dummy_order(inst))
+        r, d = len(real_order), len(inst.dummy_top_ids)
+        assert d >= 3
+        for k in range(1, 6):
+            _, mixed = k_gap_merge(inst, real_order, k)
+            assert mixed == merge_dp(costs, k)[-1][r][d]
+
 
 # (n, f_dm, heuristic, k); n=200 is costly for the quadratic reference,
 # so it gets one case per dummy fraction
@@ -163,7 +193,13 @@ _REFERENCE_MERGE_CASES = [
     for f_dm in ("0.2", "0.5", "0.8")
     for kind in ("median", "barycenter")
     for k in (1, 2, 3, 5, 8)
-] + [(200, "0.2", "median", 5), (200, "0.5", "barycenter", 3), (200, "0.8", "median", 2)]
+] + [
+    (200, "0.2", "median", 5),
+    (200, "0.5", "barycenter", 3),
+    (200, "0.8", "median", 2),
+    (200, "0.2", "barycenter", 1),
+    (200, "0.5", "median", 1),
+]
 
 
 class TestKGapMerge:
@@ -223,6 +259,18 @@ class TestKGapMerge:
         for seed in (1, 2):
             inst = gen(n, f_dm, 3, seed)
             order = real_order_of(inst, kind)
+            merged, mixed = k_gap_merge(inst, order, k)
+            expected, expected_mixed = reference_k_gap_merge(inst, order, k)
+            assert merged.order == expected.order
+            assert mixed == expected_mixed
+
+    @pytest.mark.parametrize("kind", ["median", "barycenter"])
+    @given(inst=instances())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_merge_on_arbitrary_instances(self, kind, inst):
+        # reaches edge-less dummies, no dummy, one dummy and k >= d
+        order = real_order_of(inst, kind)
+        for k in (1, 2, 3, 4):
             merged, mixed = k_gap_merge(inst, order, k)
             expected, expected_mixed = reference_k_gap_merge(inst, order, k)
             assert merged.order == expected.order

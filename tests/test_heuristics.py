@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gen, induced, instances, mk_instance, restrict_top
-from oracles import best_by_enumeration, naive_crossings
+from oracles import best_by_enumeration, naive_crossings, reference_heuristic_order
 
 from oscm_gaps.core import InputError
-from oscm_gaps.heuristics import heuristic_key, heuristic_order
+from oscm_gaps.heuristics import HEURISTIC_KINDS, heuristic_order
 
 
 def is_dummy_independent_witness(inst, kind) -> bool:
@@ -23,18 +25,25 @@ def is_dummy_independent_witness(inst, kind) -> bool:
 
 class TestKeys:
     def test_median_is_left_median(self):
-        # neighbor positions {1,3,4} -> 3; {2,5} -> 2
+        # neighbor positions {1,3,4} -> 3; {2,5} -> 2, ahead of 3 (the
+        # right median, 5, would put it behind)
         inst = mk_instance(
             "rrrrrr",
             "rr",
             [(1, 100), (3, 100), (4, 100), (2, 101), (5, 101)],
         )
-        assert heuristic_key(inst, 100, "median") == (3, 0, 100)  # odd degree
-        assert heuristic_key(inst, 101, "median") == (2, 1, 101)  # even degree
+        assert heuristic_order(inst, inst.top_ids, "median").order == (101, 100)
 
     def test_barycenter_mean(self):
-        inst = mk_instance("rrrr", "r", [(0, 100), (1, 100), (2, 100), (3, 100)])
-        assert heuristic_key(inst, 100, "barycenter")[0] == Fraction(3, 2)
+        # means 3/2, 1, 2 and 3/2: the exact mean sits between its integer
+        # neighbours and ties another 3/2 by the id
+        inst = mk_instance(
+            "rrrr",
+            "rrrr",
+            [(0, 100), (1, 100), (2, 100), (3, 100), (1, 101), (2, 102), (1, 103), (2, 103)],
+        )
+        order = heuristic_order(inst, inst.top_ids, "barycenter")
+        assert order.order == (101, 100, 103, 102)
 
     def test_degree_zero_goes_leftmost(self):
         inst = mk_instance("rr", "rr", [(0, 101), (1, 101)])
@@ -61,6 +70,32 @@ class TestKeys:
         inst = mk_instance("r", "r", [(0, 100)])
         with pytest.raises(InputError):
             heuristic_order(inst, [100], "sifting")
+
+
+class TestReferenceKeys:
+    """The integer keys order as the exact-rational keys do."""
+
+    @pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+    @given(inst=instances(), data=st.data())
+    @settings(max_examples=60)
+    def test_matches_reference_on_random_subsets(self, kind, inst, data):
+        subset = data.draw(st.lists(st.sampled_from(inst.top_ids), unique=True))
+        expected = reference_heuristic_order(inst, subset, kind)
+        assert heuristic_order(inst, subset, kind) == expected
+
+    @pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+    def test_matches_reference_at_degrees_0_to_40(self, kind):
+        # the lcm of 1..40 is about 5e15; the degree-0 node sits among the
+        # ids, and every other node has its own barycenter
+        rng = random.Random(5)
+        degrees = [(7 + 17 * i) % 41 for i in range(41)]
+        edges = [(b, 100 + i) for i, deg in enumerate(degrees) for b in rng.sample(range(64), deg)]
+        inst = mk_instance("r" * 64, "r" * 41, edges)
+        means = [Fraction(sum(p), len(p)) for p in inst.neighbor_positions.values() if p]
+        assert 0 < degrees.index(0) < 40 and len(set(means)) == 40
+        order = heuristic_order(inst, inst.top_ids, kind)
+        assert order == reference_heuristic_order(inst, inst.top_ids, kind)
+        assert order.order[0] == 100 + degrees.index(0)
 
 
 class TestDeterminism:
