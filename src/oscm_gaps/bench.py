@@ -420,18 +420,18 @@ def _write_plots(
         if spec.name not in algo_labels:
             algo_labels.append(spec.name)
 
+    records_at: dict[tuple[int, str], list[RunRecord]] = {}
+    for (v_idx, _), records in by_cell.items():
+        for r in records:
+            records_at.setdefault((v_idx, r.algo), []).append(r)
+
     def collect(metric) -> list[tuple[str, list[tuple[float, float, float]]]]:
         series = []
         for label in algo_labels:
             points = []
             for v_idx in range(len(x_values)):
-                values = [
-                    metric(r)
-                    for (vi, _), records in by_cell.items()
-                    if vi == v_idx
-                    for r in records
-                    if r.algo == label and metric(r) is not None
-                ]
+                records = records_at.get((v_idx, label), ())
+                values = [y for y in map(metric, records) if y is not None]
                 if not values:
                     break
                 points.append(_series_stats(values))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,37 @@ from oscm_gaps.core import (
     validate_instance,
 )
 from oscm_gaps.exact import build_base_oscm_model, objective_value
+
+
+GRID_NS = (8, 16, 40, 60)
+
+
+def grid_instances(n):
+    """Generated instances with n nodes per layer over four dummy
+    fractions and three average degrees, two seeds each."""
+    for f_dm in ("0", "0.2", "0.5", "1"):
+        for deg_avg in (1, 3, 5):
+            for seed in (1, 2):
+                yield gen(n, f_dm, deg_avg, seed)
+
+
+def shared_ends_instance():
+    """Several top nodes per bottom position, dummies on both layers and a
+    bottom order that is not the listing order."""
+    return mk_instance(
+        "rrrrrd",
+        "rrrrdd",
+        [(4, 100), (4, 101), (4, 102), (4, 104), (0, 100), (2, 100), (0, 101), (1, 101),
+         (2, 102), (3, 102), (0, 103), (1, 103), (2, 103), (3, 103), (1, 105), (5, 103)],
+        pi1=(3, 0, 5, 4, 1, 2),
+    )
+
+
+def assert_rows_match_naive(inst, ids):
+    rows = pairwise_crossings(inst, ids)
+    assert len(rows) == len(ids)
+    for row, u in zip(rows, ids):
+        assert row == tuple(naive_pair_crossings(inst, u, v) if u != v else 0 for v in ids)
 
 
 class TestValidate:
@@ -193,6 +226,22 @@ class TestCountCrossings:
         model = build_base_oscm_model(inst, inst.top_ids)
         assert count_crossings(inst, pi2) == objective_value(model, pi2)
 
+    @pytest.mark.parametrize("n", GRID_NS)
+    def test_matches_naive_on_generated_grid(self, n):
+        rng = random.Random(n)
+        for inst in grid_instances(n):
+            order = list(inst.top_ids)
+            for _ in range(2):
+                rng.shuffle(order)
+                pi2 = Permutation(tuple(order))
+                assert count_crossings(inst, pi2) == naive_crossings(inst, pi2)
+
+    def test_shared_bottom_positions_match_naive(self):
+        inst = shared_ends_instance()
+        for order in permutations(inst.top_ids):
+            pi2 = Permutation(order)
+            assert count_crossings(inst, pi2) == naive_crossings(inst, pi2)
+
 
 class TestPairwiseCrossings:
     def test_disjoint_singletons(self):
@@ -229,9 +278,27 @@ class TestPairwiseCrossings:
             at = [ids.index(v) for v in subset]
             rows = pairwise_crossings(inst, subset)
             assert rows == tuple(tuple(full[i][j] for j in at) for i in at)
-            for row, u in zip(rows, subset):
-                for c_uv, v in zip(row, subset):
-                    assert c_uv == (naive_pair_crossings(inst, u, v) if u != v else 0)
+            assert_rows_match_naive(inst, subset)
+
+    @pytest.mark.parametrize("n", GRID_NS)
+    def test_matches_naive_on_generated_grid(self, n):
+        rng = random.Random(n)
+        for inst in grid_instances(n):
+            ids = list(inst.top_ids)
+            rng.shuffle(ids)
+            assert_rows_match_naive(inst, ids[: rng.randint(0, len(ids))])
+
+    def test_shared_bottom_positions_match_naive(self):
+        inst = shared_ends_instance()
+        for i, order in enumerate(permutations(inst.top_ids)):
+            assert_rows_match_naive(inst, order[: i % 7])
+
+    @pytest.mark.parametrize("stray", [999, 0], ids=["unknown", "bottom"])
+    def test_non_top_id_is_an_input_error(self, stray):
+        inst = mk_instance("rr", "rr", [(0, 100), (1, 101)])
+        for build in (pairwise_crossings, build_base_oscm_model):
+            with pytest.raises(InputError, match=f"unknown top id {stray}"):
+                build(inst, (100, stray))
 
     @given(instances())
     @settings(max_examples=60)
