@@ -21,7 +21,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Literal
 
-from .core import BipartiteInstance, InputError, Permutation, as_int, count_crossings, count_gaps
+from .core import BipartiteInstance, InputError, Permutation, as_int, as_k, count_crossings, count_gaps
 from .draw import svg_line_chart
 from .exact import (
     DEFAULT_TIME_BUDGET_S,
@@ -85,7 +85,7 @@ ALGORITHMS: dict[str, Algorithm] = {
 @dataclass(frozen=True)
 class AlgoSpec:
     """Algorithm selector; k is required for the kgaps variants and turns
-    the oracle into its bounded-gap mode."""
+    the oracle into its bounded-gap mode. k is stored as `as_k` reads it."""
 
     name: str
     k: int | None = None
@@ -93,10 +93,10 @@ class AlgoSpec:
     def __post_init__(self) -> None:
         if self.name not in ALGORITHMS:
             raise InputError(f"unknown algorithm {self.name!r} (choose from {tuple(ALGORITHMS)})")
-        if self.k is not None and self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
-        if self.k is not None and self.algorithm.regime == "sidegaps":
-            raise InputError(f"{self.name} does not take k")
+        if self.k is not None:
+            object.__setattr__(self, "k", as_k(self.k))
+            if self.algorithm.regime == "sidegaps":
+                raise InputError(f"{self.name} does not take k")
 
     @classmethod
     def parse(cls, text: str) -> "AlgoSpec":
@@ -239,9 +239,7 @@ class BenchConfig:
         elif not isinstance(values, list) or not values:
             raise InputError(f"values must be a non-empty list, got {values!r}")
         elif sweep == "k":
-            values = [as_int(v, "k") for v in values]
-            if min(values) < 1:
-                raise InputError(f"k must be >= 1, got {min(values)}")
+            values = [as_k(v) for v in values]
         instances = as_int(payload.get("instances", 20), "instances")
         if instances < 1:
             raise InputError("instances must be >= 1")

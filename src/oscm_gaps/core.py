@@ -45,6 +45,15 @@ def as_int(value: int | float | str, name: str) -> int:
     return int(number)
 
 
+def as_k(value: int | float | str) -> int:
+    """The gap budget k as an integer >= 1, read as `as_int` reads a
+    file's ids: 2.0 is 2, and True or 2.5 is an input error."""
+    k = value if type(value) is int else as_int(value, "k")
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -180,6 +189,14 @@ class BipartiteInstance:
             for q in self.neighbor_positions[t]:
                 at[q] += 1
         return tuple(accumulate(at, initial=0))
+
+    @cached_property
+    def dummy_chain(self) -> tuple[tuple[int, int], ...]:
+        """The top dummies in canonical order, as (neighbor position, id)
+        pairs sorted ascending, so ties go by id and an edge-less dummy,
+        at position -1, comes first. No two dummy edges cross under it."""
+        neigh = self.neighbor_positions
+        return tuple(sorted((neigh[d][0] if neigh[d] else -1, d) for d in self.dummy_top_ids))
 
     def build_lookups(self) -> None:
         """Build every lookup above, and the positions of `pi1`, now

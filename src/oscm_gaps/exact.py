@@ -25,10 +25,11 @@ from .core import (
     BipartiteInstance,
     InputError,
     Permutation,
+    as_k,
     count_crossings,
     pairwise_crossings,
 )
-from .gap_placement import canonical_dummy_order, side_gap_merge, solve_kgaps
+from .gap_placement import side_gap_merge, solve_kgaps
 from .heuristics import heuristic_order
 
 ORACLE_NODE_LIMIT = 9
@@ -65,12 +66,12 @@ def build_base_oscm_model(inst: BipartiteInstance, ids: tuple[int, ...]) -> Orde
 
 
 def build_kgap_model(inst: BipartiteInstance, k: int) -> OrderingModel:
-    """Model with the canonical dummy order fixed and at most k gaps."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    """Model with the instance's `dummy_chain` fixed and at most k gaps;
+    k is read by `as_k`."""
+    k = as_k(k)
     ids = inst.top_ids
     index = {v: i for i, v in enumerate(ids)}
-    chain = tuple(index[d] for d in canonical_dummy_order(inst).order)
+    chain = tuple(index[d] for _, d in inst.dummy_chain)
     return OrderingModel(ids, pairwise_crossings(inst, ids), chain, k - 1)
 
 
@@ -272,8 +273,9 @@ def enumerate_optima(
     solution for the unrestricted, side-gap, and requested k-gap modes.
 
     Returns mode -> (order, crossings) with modes "unrestricted",
-    "sidegap", and ("kgap", k). Ties resolve to the lexicographically
-    smallest id sequence. Guarded to at most 9 top nodes.
+    "sidegap", and ("kgap", k), each k read by `as_k`. Ties resolve to
+    the lexicographically smallest id sequence. Guarded to at most 9 top
+    nodes.
     """
     ids = sorted(inst.top_ids)
     p = len(ids)
@@ -281,9 +283,7 @@ def enumerate_optima(
         raise InputError(
             f"oracle refuses {p} top nodes (limit {ORACLE_NODE_LIMIT}: factorial enumeration)"
         )
-    for k in ks:
-        if k < 1:
-            raise InputError(f"k must be >= 1, got {k}")
+    ks = tuple(map(as_k, ks))
     cost = pairwise_crossings(inst, ids)
     dummy = [inst.top_kind[v] == "dummy" for v in ids]
 
@@ -380,6 +380,7 @@ def solve_kgap_exact(
     leave chain order only at equal cost, so refilling an improving order's
     dummy slots in canonical order keeps crossings and gaps."""
     check_time_budget(time_budget_s)
+    k = as_k(k)
     start = perf_counter()
     model = build_kgap_model(inst, k)
     best = solve_kgaps(inst, "median", k)

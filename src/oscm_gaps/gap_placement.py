@@ -1,10 +1,11 @@
 """Lifting a base ordering of the real nodes to gap-constrained solutions.
 
-Dummy nodes always appear in the canonical order (sorted by their
-neighbor's bottom position), under which no two dummy edges cross. The
-side-gap merge splits that order into a left and a right block around the
-real nodes; the k-gap merge places it into at most k blocks by a dynamic
-program over (gaps used, real prefix, dummy prefix).
+Dummy nodes always appear in the canonical order of
+`BipartiteInstance.dummy_chain` (sorted by their neighbor's bottom
+position), under which no two dummy edges cross. The side-gap merge
+splits that order into a left and a right block around the real nodes;
+the k-gap merge places it into at most k blocks by a dynamic program over
+(gaps used, real prefix, dummy prefix).
 
 With s_i[j] the summed cost of the first j dummies at real boundary i,
 the block term min_{j'<=j}(dp[g-1][i][j'] + s_i[j] - s_i[j']) is a
@@ -23,23 +24,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import sub
 
-from .core import BipartiteInstance, InputError, Permutation, concatenate
+from .core import BipartiteInstance, InputError, Permutation, as_k, concatenate
 from .heuristics import HeuristicKind, heuristic_order
-
-
-def _dummy_position(inst: BipartiteInstance, d: int) -> int:
-    """The bottom position of dummy d's one neighbor; -1 for an edge-less
-    dummy, which crosses nothing."""
-    positions = inst.neighbor_positions[d]
-    return positions[0] if positions else -1
-
-
-def canonical_dummy_order(inst: BipartiteInstance) -> Permutation:
-    """Dummies sorted ascending by `_dummy_position` (ties by id), so
-    edge-less dummies come first."""
-    return Permutation(
-        tuple(sorted(inst.dummy_top_ids, key=lambda d: (_dummy_position(inst, d), d)))
-    )
 
 
 def _check_real_order(inst: BipartiteInstance, real_order: Permutation) -> None:
@@ -52,37 +38,37 @@ def side_gap_merge(inst: BipartiteInstance, real_order: Permutation) -> Permutat
 
     Placing a dummy with neighbor position q on the left costs the
     real-incident edges left of q, on the right those right of q. Along
-    the canonical dummy order the left cost is nondecreasing and the right
-    cost nonincreasing, so the dummies that go right form a suffix, found
-    by binary search; ties go right. Edge-less dummies cross nothing and
-    sort first in the canonical order: they go left when some edge has a
-    real top end (left cost 0 < right cost), and right, as every tie does,
-    when none has.
+    `inst.dummy_chain` q ascends, so the left cost is nondecreasing and
+    the right cost nonincreasing, and the dummies that go right form a
+    suffix, found by binary search over the chain's positions; ties go
+    right. Edge-less dummies cross nothing and sort first in the chain,
+    at q = -1: they go left when some edge has a real top end (left cost
+    0 < right cost), and right, as every tie does, when none has.
     """
     _check_real_order(inst, real_order)
-    dummies = canonical_dummy_order(inst).order
+    chain = inst.dummy_chain
     before = inst.real_edges_before
     total = before[-1]
 
-    def goes_right(d: int) -> bool:
-        q = _dummy_position(inst, d)
+    def goes_right(link: tuple[int, int]) -> bool:
+        q = link[0]
         if q < 0:
             return total == 0
         return before[q] >= total - before[q + 1]
 
-    split = bisect_left(dummies, True, key=goes_right)
+    split = bisect_left(chain, True, key=goes_right)
+    dummies = [d for _, d in chain]
     return concatenate(dummies[:split], real_order, dummies[split:])
 
 
-def block_cost_tables(
-    inst: BipartiteInstance, real_order: Permutation, dummy_order: Permutation
-) -> list[list[int]]:
+def block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
     """Prefix-summed placement costs for dummy blocks, one row per real
-    boundary: rows[i][j] sums, over the first j dummies, the cost of
-    sitting after the first i real nodes and before the rest; the cost of
-    block (j'+1..j) at real boundary i is rows[i][j] - rows[i][j']."""
+    boundary: rows[i][j] sums, over the first j dummies of the canonical
+    chain, the cost of sitting after the first i real nodes and before
+    the rest; the cost of block (j'+1..j) at real boundary i is
+    rows[i][j] - rows[i][j']."""
     neigh = inst.neighbor_positions
-    q = [_dummy_position(inst, d) for d in dummy_order.order]
+    q = [qt for qt, _ in inst.dummy_chain]
 
     # A dummy at boundary 0 crosses every real-incident edge left of its
     # neighbor. Moving real node r from after the dummy to before it adds
@@ -142,9 +128,7 @@ def merge_dp(costs: list[list[int]], k: int) -> list[list[list[int]]]:
     return dp
 
 
-def boundary_totals(
-    inst: BipartiteInstance, real_order: Permutation, dummy_order: Permutation
-) -> list[int]:
+def boundary_totals(inst: BipartiteInstance, real_order: Permutation) -> list[int]:
     """Entry i is the mixed cost of all dummies in one block after the
     first i real nodes: the last column of `block_cost_tables`, from the
     real nodes' edges alone in O(E + b) for E real edges and b bottom
@@ -153,7 +137,7 @@ def boundary_totals(
     At boundary 0 each dummy crosses the real edges left of it. Moving
     real node r before the block adds, per edge of r at position p, the
     dummies left of p and drops those right of it: weight[p]."""
-    q = [qt for qt in (_dummy_position(inst, d) for d in dummy_order.order) if qt >= 0]
+    q = [qt for qt, _ in inst.dummy_chain if qt >= 0]
     at = [0] * len(inst.pi1)
     for qt in q:
         at[qt] += 1
@@ -172,29 +156,28 @@ def boundary_totals(
 def k_gap_merge(
     inst: BipartiteInstance, real_order: Permutation, k: int
 ) -> tuple[Permutation, int]:
-    """Merge `real_order` with the canonical dummy order using at most k
-    gaps, minimizing crossings between real-incident and dummy-incident
-    edge pairs. Returns the merged permutation and that mixed cost.
+    """Merge `real_order` with the instance's `dummy_chain` using at most
+    k gaps, minimizing crossings between real-incident and dummy-incident
+    edge pairs. Returns the merged permutation and that mixed cost; k is
+    read by `as_k`.
 
     Only the last block's boundary reads the top layer, at column j = d,
     so that layer is one column: min(dp[k-1][i] - s_i) + s_i[d] per
     boundary i. At one gap its terms are the `boundary_totals`, and no
     cost row is built."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    k = as_k(k)
     _check_real_order(inst, real_order)
-    dummy_order = canonical_dummy_order(inst)
-    dummies = dummy_order.order
+    dummies = [d for _, d in inst.dummy_chain]
     n_real, n_dummy = len(real_order), len(dummies)
     # more gaps than dummies never help; with no dummy, one gap holds the
     # empty block
     k = max(1, min(k, n_dummy))
     if k > 1:
-        costs = block_cost_tables(inst, real_order, dummy_order)
+        costs = block_cost_tables(inst, real_order)
         dp = merge_dp(costs, k - 1)
         column = [min(map(sub, p, s)) + s[-1] for p, s in zip(dp[-1], costs)]
     else:
-        column = boundary_totals(inst, real_order, dummy_order)
+        column = boundary_totals(inst, real_order)
     # the top layer is the running minimum of `column`; its walk down the
     # ties stops at the earliest boundary that reaches the minimum
     mixed = min(column)

@@ -104,6 +104,26 @@ def instances(draw, max_bottom=5, max_top=5, allow_dummies=True):
     return BipartiteInstance.build(bottom, top, edges, pi1)
 
 
+@st.composite
+def dummy_bottom_instances(draw, max_bottom=5, max_top=4):
+    """Random valid instances whose bottom layer is all dummies, so that
+    top dummies may have no edge; each top dummy takes at most one bottom
+    dummy, and every bottom dummy has an edge while the top has a real."""
+    n_bottom = draw(st.integers(1, max_bottom))
+    n_real = draw(st.integers(0, max_top))
+    n_dummy = draw(st.integers(0, max_top))
+    reals = [TOP_BASE + i for i in range(n_real)]
+    free = draw(st.permutations([TOP_BASE + n_real + i for i in range(n_dummy)]))
+    edges = []
+    for b in range(n_bottom):
+        if free and (not reals or draw(st.booleans())):
+            edges.append((b, free.pop()))
+        elif reals:
+            edges.append((b, draw(st.sampled_from(reals))))
+    pi1 = draw(st.permutations(range(n_bottom)))
+    return mk_instance("d" * n_bottom, "r" * n_real + "d" * n_dummy, edges, pi1)
+
+
 # -- acceptance reporting ----------------------------------------------------
 
 _acceptance_outcomes: dict[str, str] = {}

@@ -214,22 +214,33 @@ def reference_heuristic_order(inst: BipartiteInstance, subset, kind: str) -> Per
     return Permutation(tuple(sorted(subset, key=key)))
 
 
+def reference_dummy_chain(inst: BipartiteInstance) -> list[tuple[int, int]]:
+    """The canonical dummy chain from the edge list: (bottom position of
+    the neighbor, id) per top dummy, -1 for an edge-less one, sorted."""
+    kind = {v.id: v.kind for v in inst.top}
+    neighbor = {v.id: None for v in inst.top if v.kind == "dummy"}
+    neighbor.update((t, b) for b, t in inst.edges if kind[t] == "dummy")
+    order = list(inst.pi1.order)
+    return sorted((-1 if b is None else order.index(b), d) for d, b in neighbor.items())
+
+
+def reference_dummy_order(inst: BipartiteInstance) -> tuple[int, ...]:
+    """The ids of `reference_dummy_chain`, in chain order."""
+    return tuple(d for _, d in reference_dummy_chain(inst))
+
+
 def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: int):
     """The O(k·r·d²) k-gap merge DP with its tagged backtrack, kept as the
     reference for the library's prefix-minimum merge (r real, d dummy
     nodes). Same tie rule: advancing to boundary i-1 wins ties, else the
     smallest split j' reaching the minimum. Returns (permutation, mixed)."""
-    pos1 = inst.pi1.position
-    kind = inst.top_kind
-    neighbor = dict.fromkeys(inst.dummy_top_ids)  # None for an edge-less dummy
-    neighbor.update((t, b) for b, t in inst.edges if kind[t] == "dummy")
-    q_of = {d: -1 if neighbor[d] is None else pos1[neighbor[d]] for d in inst.dummy_top_ids}
-    dummies = sorted(q_of, key=lambda d: (q_of[d], d))
+    chain = reference_dummy_chain(inst)
+    dummies = [d for _, d in chain]
     reals = real_order.order
     if not dummies:
         return Permutation(reals), 0
     n_real, n_dummy = len(reals), len(dummies)
-    q = [q_of[d] for d in dummies]
+    q = [qt for qt, _ in chain]
 
     # s[i][j]: summed crossings of the first j dummies at real boundary i
     neigh = inst.neighbor_positions

@@ -24,7 +24,14 @@ from oscm_gaps.bench import (
     solve_with,
 )
 from oscm_gaps.core import InputError, count_crossings, count_gaps
-from oscm_gaps.exact import brute_force_oracle
+from oscm_gaps.exact import (
+    brute_force_oracle,
+    build_kgap_model,
+    enumerate_optima,
+    export_model,
+    solve_kgap_exact,
+)
+from oscm_gaps.gap_placement import k_gap_merge, solve_kgaps
 from oscm_gaps.heuristics import heuristic_order
 
 
@@ -407,3 +414,56 @@ class TestRunBench:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert out.stdout.strip() == "False"
+
+
+def _gap_budget_entries():
+    """Every public entry that takes a gap budget k, as k -> comparable
+    output, on an instance with 4 dummies, so that a float k reaches the
+    merge DP and the cut sets."""
+    inst = gen(8, "0.5", 2, 1)
+    real_order = heuristic_order(inst, inst.real_top_ids, "median")
+    sweep = {"sweep_param": "k", "instances": 1, "algos": ["median_kgaps"]}
+    return {
+        "AlgoSpec": lambda k: AlgoSpec("median_kgaps", k),
+        "k sweep": lambda k: BenchConfig.from_dict({**sweep, "values": [k]}).values,
+        "k_gap_merge": lambda k: k_gap_merge(inst, real_order, k),
+        "solve_kgaps": lambda k: solve_kgaps(inst, "median", k),
+        "solve_kgap_exact": lambda k: solve_kgap_exact(inst, k).permutation,
+        "build_kgap_model": lambda k: export_model(build_kgap_model(inst, k)),
+        "enumerate_optima": lambda k: enumerate_optima(inst, (k,)),
+    }
+
+
+class TestGapBudget:
+    """k is read once, by `core.as_k`: an integral float is an int, and
+    a bool, a fraction or a k below 1 is an input error at every entry."""
+
+    ENTRIES = tuple(_gap_budget_entries())
+
+    @pytest.mark.parametrize("k", [True, 2.5, 0, "x"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_refused(self, entry, k):
+        with pytest.raises(InputError):
+            _gap_budget_entries()[entry](k)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_integral_float_reads_as_int(self, entry):
+        solve = _gap_budget_entries()[entry]
+        assert repr(solve(2.0)) == repr(solve(2))
+
+    def test_spec_stores_an_int(self):
+        assert type(AlgoSpec("exact_kgaps", 2.0).k) is int
+
+    def test_csv_rows_of_an_integral_float(self, tmp_path):
+        def csv_bytes(k, name):
+            config = BenchConfig.from_dict(
+                {
+                    "instances": 2,
+                    "base_params": {"n": 8, "f_dm": "0.5", "deg_avg": 2, "seed": 1},
+                    "algos": [AlgoSpec("median_kgaps", k), AlgoSpec("exact_kgaps", k)],
+                }
+            )
+            return run_bench(config, tmp_path / name, deterministic_times=True)[0].read_bytes()
+
+        assert csv_bytes(2.0, "float") == csv_bytes(2, "int")
+        assert b",exact_kgaps,2," in csv_bytes(2, "int")

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen, induced, instances, mk_instance, precedes
-from oracles import naive_block_crossings, naive_crossings, naive_pair_crossings
+from conftest import dummy_bottom_instances, gen, induced, instances, mk_instance, precedes
+from oracles import (
+    naive_block_crossings,
+    naive_crossings,
+    naive_pair_crossings,
+    reference_dummy_chain,
+)
 
 from oscm_gaps.core import (
     BipartiteInstance,
@@ -140,7 +145,7 @@ def naive_real_edges_before(inst):
 
 class TestLookups:
     NAMES = {"top_ids", "real_top_ids", "dummy_top_ids", "top_kind",
-             "neighbor_positions", "real_edges_before"}
+             "neighbor_positions", "real_edges_before", "dummy_chain"}
 
     def test_built_on_request(self):
         inst = gen(n=8, f_dm="0.25", deg_avg=2, seed=1)
@@ -160,6 +165,22 @@ class TestLookups:
             for seed in range(5):
                 inst = gen(n, f_dm, 3, seed)
                 assert inst.real_edges_before == naive_real_edges_before(inst)
+
+    @given(st.one_of(instances(), dummy_bottom_instances()))
+    @settings(max_examples=80)
+    def test_dummy_chain_matches_reference(self, inst):
+        assert list(inst.dummy_chain) == reference_dummy_chain(inst)
+
+    @pytest.mark.parametrize("f_dm", ["0", "0.2", "0.5", "1"])
+    def test_dummy_chain_on_generated_grid(self, f_dm):
+        for n in (1, 2, 5, 16, 40):
+            for seed in range(5):
+                inst = gen(n, f_dm, 3, seed)
+                assert list(inst.dummy_chain) == reference_dummy_chain(inst)
+
+    def test_edge_less_dummies_come_first(self):
+        inst = mk_instance("dd", "rddd", [(0, 103), (1, 100)], pi1=[1, 0])
+        assert inst.dummy_chain == ((-1, 101), (-1, 102), (1, 103))
 
 
 class TestPermutation:

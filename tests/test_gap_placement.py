@@ -11,6 +11,7 @@ from oracles import (
     naive_block_crossings,
     naive_mixed_crossings,
     naive_pair_crossings,
+    reference_dummy_order,
     reference_k_gap_merge,
 )
 
@@ -23,7 +24,6 @@ from oscm_gaps.core import (
 from oscm_gaps.gap_placement import (
     block_cost_tables,
     boundary_totals,
-    canonical_dummy_order,
     k_gap_merge,
     merge_dp,
     side_gap_merge,
@@ -39,9 +39,8 @@ def real_order_of(inst, kind="median"):
 
 def assert_canonical_dummy_invariants(inst, pi2):
     """No solver output may scramble the dummies or cross their edges."""
-    canonical = canonical_dummy_order(inst)
-    assert induced(pi2, inst.dummy_top_ids).order == canonical.order
-    dummies = list(canonical.order)
+    dummies = reference_dummy_order(inst)
+    assert induced(pi2, inst.dummy_top_ids).order == dummies
     for i, d1 in enumerate(dummies):
         for d2 in dummies[i + 1 :]:
             if precedes(pi2, d1, d2):
@@ -49,18 +48,21 @@ def assert_canonical_dummy_invariants(inst, pi2):
 
 
 class TestCanonicalDummyOrder:
+    """The canonical order is the instance lookup `dummy_chain`."""
+
     def test_sorted_by_neighbor(self):
         inst = mk_instance("rr", "dd", [(0, 100), (1, 101)], pi1=[1, 0])
-        assert canonical_dummy_order(inst).order == (101, 100)
+        assert inst.dummy_chain == ((0, 101), (1, 100))
 
     def test_tie_by_id(self):
         inst = mk_instance("r", "dd", [(0, 100), (0, 101)])
-        assert canonical_dummy_order(inst).order == (100, 101)
+        assert inst.dummy_chain == ((0, 100), (0, 101))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_no_dummy_pair_crossings(self, seed):
         inst = gen(8, 0.5, 2, seed)
-        order = canonical_dummy_order(inst).order
+        order = [d for _, d in inst.dummy_chain]
+        assert len(order) >= 2
         for i, d1 in enumerate(order):
             for d2 in order[i + 1 :]:
                 assert naive_pair_crossings(inst, d1, d2) == 0
@@ -105,7 +107,7 @@ class TestSideGapMerge:
         order = real_order_of(inst)
         merged = side_gap_merge(inst, order)
         achieved = naive_crossings(inst, merged)
-        best = best_sidegap_split(inst, order, canonical_dummy_order(inst).order)
+        best = best_sidegap_split(inst, order, reference_dummy_order(inst))
         assert achieved == best
 
     @given(inst=instances())
@@ -121,9 +123,8 @@ class TestBlockCostTables:
     def test_prefix_differences_match_block_crossings(self, seed):
         inst = gen(7, 0.4, 2, seed)
         real_order = real_order_of(inst)
-        dummy_order = canonical_dummy_order(inst)
-        rows = block_cost_tables(inst, real_order, dummy_order)
-        reals, dummies = real_order.order, dummy_order.order
+        rows = block_cost_tables(inst, real_order)
+        reals, dummies = real_order.order, reference_dummy_order(inst)
         for i in range(len(reals) + 1):
             for jp in range(len(dummies) + 1):
                 for j in range(jp, len(dummies) + 1):
@@ -139,16 +140,15 @@ class TestBlockCostTables:
         inst = gen(n, f_dm, 3, seed)
         for kind in ("median", "barycenter"):
             real_order = real_order_of(inst, kind)
-            dummy_order = canonical_dummy_order(inst)
-            rows = block_cost_tables(inst, real_order, dummy_order)
-            assert boundary_totals(inst, real_order, dummy_order) == [row[-1] for row in rows]
+            rows = block_cost_tables(inst, real_order)
+            assert boundary_totals(inst, real_order) == [row[-1] for row in rows]
 
 
 class TestMergeTable:
     def test_base_cases_and_monotone_in_g(self):
         inst = gen(8, 0.5, 2, 4)
         real_order = real_order_of(inst)
-        costs = block_cost_tables(inst, real_order, canonical_dummy_order(inst))
+        costs = block_cost_tables(inst, real_order)
         dp = merge_dp(costs, 3)
         n_real = len(real_order)
         n_dummy = len(inst.dummy_top_ids)
@@ -167,7 +167,7 @@ class TestMergeTable:
 
     def test_no_layer_at_zero_gaps(self):
         inst = gen(8, 0.5, 2, 4)
-        costs = block_cost_tables(inst, real_order_of(inst), canonical_dummy_order(inst))
+        costs = block_cost_tables(inst, real_order_of(inst))
         assert merge_dp(costs, 0) == []
 
     @pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (200, 1)])
@@ -177,7 +177,7 @@ class TestMergeTable:
         # gap, the boundary totals); its minimum is the full layer's corner
         inst = gen(n, "0.2", 3, seed)
         real_order = real_order_of(inst, kind)
-        costs = block_cost_tables(inst, real_order, canonical_dummy_order(inst))
+        costs = block_cost_tables(inst, real_order)
         r, d = len(real_order), len(inst.dummy_top_ids)
         assert d >= 3
         for k in range(1, 6):
@@ -229,7 +229,7 @@ class TestKGapMerge:
         inst = gen(7, 0.4, 2, seed)
         order = real_order_of(inst)
         reals = order.order
-        dummies = canonical_dummy_order(inst).order
+        dummies = reference_dummy_order(inst)
         expected = 0
         for d in dummies:
             expected += min(
@@ -248,7 +248,7 @@ class TestKGapMerge:
         merged, mixed = k_gap_merge(inst, order, k)
         assert naive_mixed_crossings(inst, merged) == mixed
         best_mixed, best_total = best_bounded_gap_merge(
-            inst, order, canonical_dummy_order(inst).order, k
+            inst, order, reference_dummy_order(inst), k
         )
         assert mixed == best_mixed
         assert naive_crossings(inst, merged) == best_total
@@ -306,7 +306,7 @@ class TestPipelines:
 
     def test_only_dummies_yields_canonical_order(self):
         inst = mk_instance("ddd", "ddd", [])
-        expected = canonical_dummy_order(inst).order
+        expected = reference_dummy_order(inst)
         assert solve_sidegaps(inst, "median").order == expected
         assert solve_kgaps(inst, "median", 1).order == expected
 
