@@ -21,8 +21,9 @@ def main(doc: str, out: str, sweep: Callable[[bool], dict]) -> int:
     base_params and algos) with the command line's instances and seed."""
     parser = argparse.ArgumentParser(description=doc)
     parser.add_argument("--out", default=out, help="output directory")
-    parser.add_argument("--instances", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1)
+    # read by BenchConfig and GenParams, as a config's values are: 2.0 is 2
+    parser.add_argument("--instances", default=20)
+    parser.add_argument("--seed", default=1)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--time-budget-s", type=float, default=DEFAULT_TIME_BUDGET_S)
     parser.add_argument(

@@ -103,8 +103,8 @@ class AlgoSpec:
         """Parse "name" or "name:k" (e.g. "median_kgaps:2")."""
         if not isinstance(text, str):
             raise InputError(f"algorithm must be a string like 'median_kgaps:2', got {text!r}")
-        name, _, suffix = text.partition(":")
-        return cls(name.strip(), as_int(suffix, f"k of {text!r}") if suffix else None)
+        name, sep, suffix = text.partition(":")
+        return cls(name.strip(), as_int(suffix, f"k of {text!r}") if sep else None)
 
     @property
     def algorithm(self) -> Algorithm:
@@ -180,17 +180,18 @@ def instance_meta(params: GenParams) -> dict:
 
 
 def run_record(
-    inst: BipartiteInstance,
-    meta: dict,
-    spec: AlgoSpec,
-    permutation: Permutation,
-    status: str,
-    wall_time_ms: float,
-) -> RunRecord:
-    """`meta` holds the instance columns, as `instance_meta` builds them.
-    Crossings and gaps are recomputed from the permutation, never taken
-    from solver-reported numbers."""
-    return RunRecord(
+    inst: BipartiteInstance, meta: dict, spec: AlgoSpec, time_budget_s: float
+) -> tuple[RunRecord, Permutation]:
+    """One timed `solve_with` call and its record; returns (record,
+    permutation). `solve_with` is looked up in this module at call time,
+    where the traced benchmark wraps it. `meta` holds the instance
+    columns, as `instance_meta` builds them. Crossings and gaps are
+    recomputed from the permutation, never taken from solver-reported
+    numbers."""
+    started = perf_counter()
+    permutation, status = solve_with(inst, spec, time_budget_s)
+    wall_time_ms = (perf_counter() - started) * 1000.0
+    record = RunRecord(
         **meta,
         algo=spec.name,
         k=spec.k,
@@ -199,6 +200,14 @@ def run_record(
         wall_time_ms=wall_time_ms,
         status=status,
     )
+    return record, permutation
+
+
+def write_records(fh, records) -> None:
+    """Write the CSV header and one row per record to the text file `fh`."""
+    writer = csv.writer(fh)
+    writer.writerow(RUN_RECORD_COLUMNS)
+    writer.writerows(record.as_row() for record in records)
 
 
 # a sweep varies one generator parameter (the seed excepted) or the gap budget k
@@ -235,6 +244,8 @@ class BenchConfig:
             raise InputError(f"sweep_param must be one of {', '.join(_SWEEPABLE)}; got {sweep!r}")
         values = payload.get("values")
         if sweep is None:
+            if values is not None:
+                raise InputError(f"values {values!r} given without a sweep_param")
             values = [None]
         elif not isinstance(values, list) or not values:
             raise InputError(f"values must be a non-empty list, got {values!r}")
@@ -315,10 +326,7 @@ def _rows(cells, time_budget_s: float):
 def _run_row(row) -> RunRecord:
     inst, meta, spec, time_budget_s = row
     try:
-        started = perf_counter()
-        permutation, status = solve_with(inst, spec, time_budget_s)
-        elapsed_ms = (perf_counter() - started) * 1000.0
-        return run_record(inst, meta, spec, permutation, status, elapsed_ms)
+        return run_record(inst, meta, spec, time_budget_s)[0]
     except Exception as exc:  # per-row fault isolation: the matrix keeps running
         return RunRecord(
             **meta,
@@ -391,10 +399,7 @@ def run_bench(
 
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_RECORD_COLUMNS)
-        for record in records:
-            writer.writerow(record.as_row())
+        write_records(fh, records)
 
     plot_paths = _write_plots(config, by_cell, out_dir)
     return csv_path, plot_paths

@@ -6,26 +6,16 @@ still written), 4 internal error.
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 from functools import wraps
 from pathlib import Path
-from time import perf_counter
 
 import click
 
-from .bench import (
-    ALGORITHMS,
-    RUN_RECORD_COLUMNS,
-    AlgoSpec,
-    BenchConfig,
-    run_bench,
-    run_record,
-    solve_with,
-)
+from .bench import ALGORITHMS, AlgoSpec, BenchConfig, run_bench, run_record, write_records
 from .core import (
     InputError,
+    as_k,
     count_crossings,
     count_gaps,
     load_instance,
@@ -67,10 +57,10 @@ def cli() -> None:
 
 
 @cli.command("generate")
-@click.option("--n", type=int, required=True, help="Nodes per layer.")
+@click.option("--n", required=True, help="Nodes per layer.")
 @click.option("--f-dm", default="0.2", show_default=True, help="Dummy node fraction.")
 @click.option("--deg-avg", default="3", show_default=True, help="Average real-node degree.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", default="0", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_handle_errors
 def generate_cmd(n, f_dm, deg_avg, seed, out):
@@ -103,18 +93,10 @@ _time_budget_option = click.option(
 )
 
 
-def _record_csv(record) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(RUN_RECORD_COLUMNS)
-    writer.writerow(record.as_row())
-    return buffer.getvalue().rstrip("\n")
-
-
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--algo", type=click.Choice(list(ALGORITHMS)), required=True)
-@click.option("--k", type=int, default=None, help="Gap budget for kgaps variants.")
+@click.option("--k", default=None, help="Gap budget for kgaps variants.")
 @_time_budget_option
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Permutation JSON path.")
 @_handle_errors
@@ -122,12 +104,6 @@ def solve(instance, algo, k, time_budget_s, out):
     """Solve one instance with one algorithm; prints the run record."""
     inst = load_instance(instance)
     inst.build_lookups()  # as bench does, so the timer holds the solve alone
-    spec = AlgoSpec(algo, k)
-    started = perf_counter()
-    permutation, status = solve_with(inst, spec, time_budget_s)
-    elapsed_ms = (perf_counter() - started) * 1000.0
-    save_permutation(permutation, out)
-
     # a loaded instance has no generator parameters: its columns are
     # measured, and its seed is 0
     reals = inst.real_top_ids
@@ -140,9 +116,10 @@ def solve(instance, algo, k, time_budget_s, out):
         "f_dm": f"{f_dm:g}",
         "deg_avg": f"{deg_avg:g}",
     }
-    record = run_record(inst, meta, spec, permutation, status, elapsed_ms)
-    click.echo(_record_csv(record))
-    if status == "timeout_incumbent":
+    record, permutation = run_record(inst, meta, AlgoSpec(algo, k), time_budget_s)
+    save_permutation(permutation, out)
+    write_records(sys.stdout, [record])
+    if record.status == "timeout_incumbent":
         sys.exit(EXIT_TIMEOUT)
 
 
@@ -154,7 +131,7 @@ def solve(instance, algo, k, time_budget_s, out):
     default="unrestricted",
     show_default=True,
 )
-@click.option("--k", type=int, default=None)
+@click.option("--k", default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Permutation JSON path.")
 @_handle_errors
 def oracle(instance, mode, k, out):
@@ -163,7 +140,7 @@ def oracle(instance, mode, k, out):
     permutation, value = brute_force_oracle(inst, mode, k=k)
     if out:
         save_permutation(permutation, out)
-    suffix = f" k={k}" if mode == "kgap" else ""
+    suffix = f" k={as_k(k)}" if mode == "kgap" else ""
     click.echo(f"mode={mode}{suffix} crossings={value} order={list(permutation.order)}")
 
 

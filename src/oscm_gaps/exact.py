@@ -341,13 +341,14 @@ def enumerate_optima(
 def brute_force_oracle(
     inst: BipartiteInstance,
     mode: Literal["unrestricted", "sidegap", "kgap"] = "unrestricted",
-    k: int | None = None,
+    k: int | float | str | None = None,
 ) -> tuple[Permutation, int]:
     """Exhaustive optimum for one mode; see `enumerate_optima`. Only the
-    kgap mode takes k."""
+    kgap mode takes k, read by `as_k`."""
     if mode == "kgap":
         if k is None:
             raise InputError("kgap mode requires k")
+        k = as_k(k)
         result = enumerate_optima(inst, ks=(k,))[("kgap", k)]
     elif mode in ("unrestricted", "sidegap"):
         if k is not None:

@@ -108,6 +108,45 @@ def evaluate_exported_ilp(
     return objective, assignment, violated
 
 
+def solve_exported_ilp(text: str) -> tuple[int, tuple[int, ...]]:
+    """Solve an exported ILP with scipy's MILP solver (HiGHS), reading the
+    documented JSON schema alone: every variable 0/1, the objective
+    minimized under every constraint, optimality proven with no gap.
+    Returns the optimum and the top order the `x_u_v` values encode
+    (u's position is the number of v with `x_v_u` = 1)."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    payload = json.loads(text)
+    column = {var["name"]: j for j, var in enumerate(payload["vars"])}
+    cost = np.zeros(len(column))
+    for term in payload["objective"]:
+        cost[column[term["var"]]] += term["coef"]
+    rows, cols, coefs, lower, upper = [], [], [], [], []
+    for i, c in enumerate(payload["constraints"]):
+        assert c["op"] in ("<=", "="), c
+        for term in c["terms"]:
+            rows.append(i)
+            cols.append(column[term["var"]])
+            coefs.append(term["coef"])
+        lower.append(c["rhs"] if c["op"] == "=" else -np.inf)
+        upper.append(c["rhs"])
+    matrix = coo_array((coefs, (rows, cols)), shape=(len(upper), len(column))).tocsr()
+    result = milp(
+        cost,
+        constraints=LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(len(column)),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert result.status == 0, result.message
+    values = {name: round(result.x[j]) for name, j in column.items()}
+    ids = {int(v) for name in column if name.startswith("x_") for v in name.split("_")[1:]}
+    order = sorted(ids, key=lambda v: sum(values[f"x_{u}_{v}"] for u in ids if u != v))
+    return round(result.fun), tuple(order)
+
+
 def gap_runs(inst: BipartiteInstance, order: tuple[int, ...]) -> list[tuple[int, int]]:
     kind = inst.top_kind
     runs = []

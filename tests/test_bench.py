@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -80,11 +81,20 @@ class TestAlgoSpec:
 
     @pytest.mark.parametrize(
         "text",
-        ["frobnicate", "median_kgaps:x", "median_sidegaps:2", "median_kgaps:2.5", "median_kgaps:true"],
+        [
+            "frobnicate", "median_kgaps:x", "median_sidegaps:2", "median_kgaps:2.5",
+            "median_kgaps:true", "median_kgaps:", "exact_sidegaps:",
+        ],
     )
     def test_bad_specs_rejected(self, text):
         with pytest.raises(InputError):
             AlgoSpec.parse(text)
+
+    def test_empty_suffix_refused_in_a_k_sweep(self):
+        # the swept k would otherwise fill the empty suffix in silently
+        config = {"sweep_param": "k", "values": [2], "instances": 1, "algos": ["median_kgaps:"]}
+        with pytest.raises(InputError, match=re.escape("bad k of 'median_kgaps:'")):
+            BenchConfig.from_dict(config)
 
     def test_kgaps_needs_k_at_run_time(self):
         with pytest.raises(InputError):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from conftest import mk_instance
 
-from oscm_gaps import cli as cli_module
+from oscm_gaps import bench
 from oscm_gaps.bench import ALGORITHMS
 from oscm_gaps.cli import cli
 from oscm_gaps.core import count_crossings, load_instance, load_permutation, save_instance
@@ -57,6 +57,14 @@ class TestGenerate:
         result = invoke(runner, "generate", "--n", 0, "--out", tmp_path / "x.json")
         assert result.exit_code == 2
 
+    def test_integral_floats_write_the_golden_instance(self, runner, tmp_path):
+        # --n and --seed are read by GenParams, as a config's values are
+        out = tmp_path / "inst.json"
+        result = invoke(runner, "generate", "--n", "8.0", "--f-dm", "0.25", "--deg-avg", 2,
+                        "--seed", "42.0", "--out", out)
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / "golden_instance.json").read_bytes()
+
 
 class TestSolve:
     def test_median_sidegaps_no_dummies(self, runner, tmp_path):
@@ -92,13 +100,13 @@ class TestSolve:
         inst_path = tmp_path / "inst.json"
         invoke(runner, "generate", "--n", 8, "--seed", 4, "--out", inst_path)
         prepared = []
-        solve = cli_module.solve_with
+        solve = bench.solve_with
 
         def checking_solve(inst, spec, time_budget_s):
             prepared.append("neighbor_positions" in vars(inst))
             return solve(inst, spec, time_budget_s)
 
-        monkeypatch.setattr(cli_module, "solve_with", checking_solve)
+        monkeypatch.setattr(bench, "solve_with", checking_solve)
         result = invoke(runner, "solve", inst_path, "--algo", "median_sidegaps",
                         "--out", tmp_path / "perm.json")
         assert result.exit_code == 0, result.output
@@ -241,6 +249,46 @@ class TestOracleCommand:
         assert result.exit_code == 2
 
 
+class TestGapBudgetText:
+    """k is read by `core.as_k` wherever it is given, so `solve --k`,
+    `oracle --k`, a `name:k` suffix and a k sweep accept or refuse each
+    text alike: exit code 0 or 2, never an internal error."""
+
+    TEXTS = [2, "2", "2.0", "2.5", "true", "x", "0"]
+    ACCEPTED = [2, "2", "2.0"]
+
+    def test_every_front_end_reads_k_alike(self, runner, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 6, "--f-dm", "0.5", "--deg-avg", 2, "--seed", 3,
+               "--out", inst_path)
+
+        def run_config(name, **config):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"instances": 1, "base_params": {"n": 6}, **config}))
+            return invoke(runner, "bench", "--config", path, "--out", tmp_path / name)
+
+        verdicts, records = {}, {}
+        for i, k in enumerate(self.TEXTS):
+            runs = {
+                "solve": invoke(runner, "solve", inst_path, "--algo", "median_kgaps", "--k", k,
+                                "--out", tmp_path / f"perm{i}.json"),
+                "oracle": invoke(runner, "oracle", inst_path, "--mode", "kgap", "--k", k),
+                "suffix": run_config(f"suffix{i}", algos=[f"median_kgaps:{k}"]),
+                "sweep": run_config(f"sweep{i}", sweep_param="k", values=[k],
+                                    algos=["median_kgaps"]),
+            }
+            verdicts[k] = {front: run.exit_code for front, run in runs.items()}
+            if k in self.ACCEPTED:
+                assert runs["oracle"].output.startswith("mode=kgap k=2 "), runs["oracle"].output
+                record = runs["solve"].output.splitlines()[-1].split(",")
+                records[k] = record[:9] + record[10:]  # all but wall_time_ms
+        fronts = ("solve", "oracle", "suffix", "sweep")
+        assert verdicts == {
+            k: dict.fromkeys(fronts, 0 if k in self.ACCEPTED else 2) for k in self.TEXTS
+        }
+        assert records["2.0"] == records[2]
+
+
 class TestBenchCommand:
     def test_small_config(self, runner, tmp_path):
         config = tmp_path / "cfg.json"
@@ -322,13 +370,15 @@ class TestBenchCommand:
             ({**SMALL, "base_params": [6]}, "base_params must be an object"),
             ({**SMALL, "algos": []}, "config lists no algorithms"),
             ('{"algos": ', "invalid bench config"),
+            ({**SMALL, "values": [8, 12]}, "values [8, 12] given without a sweep_param"),
+            ({**SMALL, "algos": ["median_kgaps:"]}, "bad k of 'median_kgaps:'"),
         ],
         ids=[
             "list_config", "instances_text", "seed_text", "n_text", "k_text",
             "algo_number", "k_fraction", "k_zero", "algos_string", "unknown_key",
             "unknown_base_key", "needs_k", "empty_values", "k_suffix_fraction",
             "k_suffix_boolean", "unsweepable", "base_params_list", "no_algos",
-            "invalid_json",
+            "invalid_json", "values_without_sweep", "k_suffix_empty",
         ],
     )
     def test_malformed_config_exit_2(self, runner, tmp_path, config, message):

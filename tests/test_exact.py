@@ -14,10 +14,13 @@ from conftest import gen, induced, instances, mk_instance, precedes
 from oracles import (
     best_by_enumeration,
     evaluate_exported_ilp,
+    gap_runs,
     is_side_gap_order,
+    naive_crossings,
     reference_branch_and_bound,
     reference_contraction,
     reference_dummy_order,
+    solve_exported_ilp,
 )
 
 from oscm_gaps import exact
@@ -350,6 +353,50 @@ class TestWallTime:
         assert result.wall_time_s >= searched + 2 * self.DELAY_S
 
 
+def assert_ilp_optimum(inst, model, expected):
+    """The exported model, solved by an ILP solver, has the optimum
+    `expected`, and its solution decodes to an order of that many
+    crossings within the model's gap budget."""
+    value, order = solve_exported_ilp(export_model(model))
+    assert value == expected
+    assert sorted(order) == sorted(inst.top_ids)
+    assert naive_crossings(inst, Permutation(order)) == value
+    if model.gap_budget is not None:
+        assert len(gap_runs(inst, order)) <= model.gap_budget + 1
+
+
+class TestExportedILP:
+    """The exported ILP, solved by scipy's MILP solver (HiGHS), proves the
+    optima of the enumeration oracle and of the branch and bound."""
+
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        pytest.importorskip(
+            "scipy", reason="scipy is missing: the ILP is solved by scipy.optimize.milp"
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("f_dm", ["0", "0.25", "0.5", "1"])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_matches_enumeration(self, n, f_dm, seed):
+        inst = gen(n, f_dm, 2, seed)
+        optima = enumerate_optima(inst, ks=(1, 2, 3))
+        assert_ilp_optimum(
+            inst, build_base_oscm_model(inst, inst.top_ids), optima["unrestricted"][1]
+        )
+        for k in (1, 2, 3):
+            assert_ilp_optimum(inst, build_kgap_model(inst, k), optima[("kgap", k)][1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_matches_branch_and_bound(self, n, seed):
+        inst = gen(n, "0.2", 3, seed)
+        for k in (1, 2, 5):
+            result = solve_kgap_exact(inst, k)
+            assert result.status == "optimal"
+            assert_ilp_optimum(inst, build_kgap_model(inst, k), result.objective)
+
+
 class TestOracle:
     def test_without_dummies_sidegap_equals_unrestricted(self):
         inst = gen(6, 0, 2, 5)
@@ -375,6 +422,12 @@ class TestOracle:
     def test_k_outside_kgap_mode_refused(self, mode, k):
         with pytest.raises(InputError, match=f"{mode} mode takes no k"):
             brute_force_oracle(gen(6, 0.3, 2, 7), mode, k=k)
+
+    @pytest.mark.parametrize("k", ["2", "2.0"])
+    def test_text_k_reads_as_int(self, k):
+        # read by as_k, as the CLI's --k text is
+        inst = gen(7, 0.4, 2, 2)
+        assert brute_force_oracle(inst, "kgap", k) == brute_force_oracle(inst, "kgap", 2)
 
     def test_empty_top(self):
         inst = BipartiteInstance.build([Node(0, "real")], [], [])

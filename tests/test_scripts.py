@@ -29,6 +29,20 @@ def test_desk_scale_run_writes_proven_ratios(name, tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_integral_float_instances_and_seed(name, tmp_path, monkeypatch):
+    # read by BenchConfig and GenParams, as a config's values are
+    argv = [name, "--instances", "1.0", "--seed", "2.0", "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    script = load(name)
+    assert script.main() == 0
+    with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    sweep = script.config(False)
+    assert len(rows) == len(sweep["values"]) * len(sweep["algos"])  # one instance
+    assert {row["seed"] for row in rows} == {"2"}
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_no_instances_is_an_input_error(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name, "--instances", "0", "--out", str(tmp_path)])
     assert load(name).main() == 2

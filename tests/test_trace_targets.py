@@ -13,10 +13,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import desk_config
 
 from oscm_gaps import bench
+from oscm_gaps.cli import cli
 from oscm_gaps.exact import solve_branch_and_bound
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -61,3 +63,24 @@ def test_every_target_is_called_by_the_desk_configs(tmp_path, monkeypatch):
     for script in ("experiment_gap_count", "experiment_sidegaps_vs_2gaps"):
         bench.run_bench(replace(desk_config(script), instances=1), tmp_path / script)
     assert [target for target in targets if not calls[target]] == []
+
+
+def test_cli_solve_reaches_bench_solve_with_once(tmp_path, monkeypatch):
+    # `oscm-gaps solve` times its row through the bench, so the traced
+    # `bench.solve_with` span covers the command's solve too
+    calls = []
+    solve_with = bench.solve_with
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].name)
+        return solve_with(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "solve_with", counted)
+    runner = CliRunner()
+    inst_path, perm_path = str(tmp_path / "inst.json"), str(tmp_path / "perm.json")
+    assert runner.invoke(cli, ["generate", "--n", "8", "--out", inst_path]).exit_code == 0
+    result = runner.invoke(
+        cli, ["solve", inst_path, "--algo", "exact_kgaps", "--k", "2", "--out", perm_path]
+    )
+    assert result.exit_code == 0, result.output
+    assert calls == ["exact_kgaps"]
