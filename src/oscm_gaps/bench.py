@@ -94,9 +94,9 @@ class AlgoSpec:
         if self.name not in ALGORITHMS:
             raise InputError(f"unknown algorithm {self.name!r} (choose from {tuple(ALGORITHMS)})")
         if self.k is not None:
-            object.__setattr__(self, "k", as_k(self.k))
             if self.algorithm.regime == "sidegaps":
-                raise InputError(f"{self.name} does not take k")
+                raise InputError(f"{self.name} takes no k (got k={self.k})")
+            object.__setattr__(self, "k", as_k(self.k))
 
     @classmethod
     def parse(cls, text: str) -> "AlgoSpec":

@@ -8,6 +8,7 @@ library code paths it checks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from time import perf_counter
@@ -332,6 +333,28 @@ def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: i
         if b < n_real:
             merged.append(reals[b])
     return Permutation(tuple(merged)), dp[k][n_real][n_dummy]
+
+
+def reference_block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
+    """`gap_placement.block_cost_tables` as it was before the running-sum
+    sweep: for each real node r in turn, every dummy's cost at the next
+    boundary adds r's edges strictly right of the dummy's neighbor and
+    drops those strictly left, found by two bisections per (real node,
+    dummy) pair. Kept as the reference for the library's tables."""
+    neigh = inst.neighbor_positions
+    q = [qt for qt, _ in inst.dummy_chain]
+    left = inst.real_edges_before
+    cost = [0 if qt < 0 else left[qt] for qt in q]
+    rows = [list(accumulate(cost, initial=0))]
+    for r in real_order.order:
+        positions = neigh[r]
+        degree = len(positions)
+        cost = [
+            c if qt < 0 else c + degree - bisect_right(positions, qt) - bisect_left(positions, qt)
+            for c, qt in zip(cost, q)
+        ]
+        rows.append(list(accumulate(cost, initial=0)))
+    return rows
 
 
 def reference_contraction(model: OrderingModel, segments: list[tuple[int, ...]]):

@@ -288,6 +288,18 @@ class TestGapBudgetText:
         }
         assert records["2.0"] == records[2]
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_side_gap_regime_refuses_any_k(self, runner, tmp_path, k):
+        # the regime is checked before k is read, so 0 is refused as 2 is
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 6, "--out", inst_path)
+        solve = invoke(runner, "solve", inst_path, "--algo", "median_sidegaps", "--k", k,
+                       "--out", tmp_path / "p.json")
+        oracle = invoke(runner, "oracle", inst_path, "--mode", "sidegap", "--k", k)
+        for result in (solve, oracle):
+            assert result.exit_code == 2, result.output
+            assert "takes no k" in result.output
+
 
 class TestBenchCommand:
     def test_small_config(self, runner, tmp_path):

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gen, induced, instances, mk_instance, precedes
+from conftest import dummy_bottom_instances, gen, induced, instances, mk_instance, precedes
 from oracles import (
     best_bounded_gap_merge,
     best_sidegap_split,
@@ -11,6 +12,7 @@ from oracles import (
     naive_block_crossings,
     naive_mixed_crossings,
     naive_pair_crossings,
+    reference_block_cost_tables,
     reference_dummy_order,
     reference_k_gap_merge,
 )
@@ -134,6 +136,25 @@ class TestBlockCostTables:
                     ) + naive_block_crossings(inst, block, reals[i:])
                     assert rows[i][j] - rows[i][jp] == expected
 
+    @pytest.mark.parametrize(
+        "bottom, top, edges, real_order, expected",
+        [
+            # dummy 103 has no edge: a zero column at every boundary
+            ("ddd", "rrdd", [(0, 100), (1, 101), (2, 102)], (100, 101),
+             [[0, 0, 2], [0, 0, 1], [0, 0, 0]]),
+            # dummies 102 and 103 share the neighbor 0: equal columns
+            ("rr", "rrdd", [(0, 100), (1, 101), (0, 102), (0, 103)], (100, 101),
+             [[0, 0, 0], [0, 0, 0], [0, 1, 2]]),
+            ("rr", "rr", [(0, 100), (1, 101)], (101, 100), [[0], [0], [0]]),  # no dummy
+            ("rr", "dd", [(0, 100), (1, 101)], (), [[0, 0, 0]]),  # no real node
+        ],
+        ids=["edge_less_dummy", "shared_neighbor", "no_dummy", "no_real"],
+    )
+    def test_degenerate_tables(self, bottom, top, edges, real_order, expected):
+        inst = mk_instance(bottom, top, edges)
+        order = Permutation(real_order)
+        assert block_cost_tables(inst, order) == expected
+        assert reference_block_cost_tables(inst, order) == expected
 
     @pytest.mark.parametrize("n,f_dm,seed", [(7, 0.4, 1), (16, 0.2, 2), (200, 0.2, 1), (200, 0.8, 2)])
     def test_boundary_totals_are_the_last_column(self, n, f_dm, seed):
@@ -142,6 +163,22 @@ class TestBlockCostTables:
             real_order = real_order_of(inst, kind)
             rows = block_cost_tables(inst, real_order)
             assert boundary_totals(inst, real_order) == [row[-1] for row in rows]
+
+    # shuffled real orders of arbitrary instances reach edge-less dummies,
+    # dummies that share a neighbor, no dummy and no real node
+    @given(inst=st.one_of(instances(), dummy_bottom_instances()), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_tables(self, inst, data):
+        real_order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
+        assert block_cost_tables(inst, real_order) == reference_block_cost_tables(inst, real_order)
+
+    # the one-gap merge reads these totals instead of the tables
+    @given(inst=st.one_of(instances(), dummy_bottom_instances()), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_boundary_totals_on_arbitrary_instances(self, inst, data):
+        real_order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
+        rows = block_cost_tables(inst, real_order)
+        assert boundary_totals(inst, real_order) == [row[-1] for row in rows]
 
 
 class TestMergeTable:
