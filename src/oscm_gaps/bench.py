@@ -6,7 +6,8 @@ solver, its gap regime and whether it is exact, and every name-dependent
 choice here and in the CLI reads it. Heuristic variants are compared
 against the exact variant of the same gap regime (same k); exact solvers
 honor a per-run time budget and report timeouts as rows rather than
-failures.
+failures. The exhaustive oracle is no entry: it is
+`exact.enumerate_optima`, run by `oscm-gaps oracle`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .draw import svg_line_chart
 from .exact import (
     DEFAULT_TIME_BUDGET_S,
     SolveResult,
-    brute_force_oracle,
     check_time_budget,
     solve_kgap_exact,
     solve_sidegap_exact,
@@ -39,10 +39,10 @@ from .generator import GenParams, generate
 class Algorithm:
     """A registry entry. `solve(inst, k, time_budget_s)` returns
     (permutation, status); `regime` is the gap constraint its output
-    meets, None for the unrestricted oracle, which a k bounds to k gaps."""
+    meets, and each regime has one exact entry."""
 
     solve: Callable[[BipartiteInstance, int | None, float], tuple[Permutation, str]]
-    regime: Literal["sidegaps", "kgaps"] | None
+    regime: Literal["sidegaps", "kgaps"]
     exact: bool
 
 
@@ -56,11 +56,6 @@ def _sidegaps(base: str):
 
 def _kgaps(base: str):
     return lambda inst, k, time_budget_s: (solve_kgaps(inst, base, k), "ok")
-
-
-def _oracle(inst: BipartiteInstance, k: int | None, time_budget_s: float):
-    permutation, _ = brute_force_oracle(inst, "unrestricted" if k is None else "kgap", k=k)
-    return permutation, "optimal"
 
 
 ALGORITHMS: dict[str, Algorithm] = {
@@ -78,14 +73,14 @@ ALGORITHMS: dict[str, Algorithm] = {
         "kgaps",
         True,
     ),
-    "oracle": Algorithm(_oracle, None, True),
 }
 
 
 @dataclass(frozen=True)
 class AlgoSpec:
-    """Algorithm selector; k is required for the kgaps variants and turns
-    the oracle into its bounded-gap mode. k is stored as `as_k` reads it."""
+    """Algorithm selector; k is required for the kgaps variants (here or
+    from a k sweep) and refused for the others. k is stored as `as_k`
+    reads it."""
 
     name: str
     k: int | None = None
@@ -94,7 +89,7 @@ class AlgoSpec:
         if self.name not in ALGORITHMS:
             raise InputError(f"unknown algorithm {self.name!r} (choose from {tuple(ALGORITHMS)})")
         if self.k is not None:
-            if self.algorithm.regime == "sidegaps":
+            if not self.needs_k:
                 raise InputError(f"{self.name} takes no k (got k={self.k})")
             object.__setattr__(self, "k", as_k(self.k))
 
@@ -111,9 +106,9 @@ class AlgoSpec:
         return ALGORITHMS[self.name]
 
     def with_k(self, k: int) -> "AlgoSpec":
-        """This spec with a swept k, for every algorithm that takes one
-        (all but the side-gap regime) and has none of its own."""
-        if self.k is None and self.algorithm.regime != "sidegaps":
+        """This spec with a swept k, if its algorithm takes one and it
+        has none of its own."""
+        if self.k is None and self.needs_k:
             return AlgoSpec(self.name, k)
         return self
 
@@ -343,11 +338,11 @@ def _attach_ratios(by_cell: dict[tuple[int, int], list[RunRecord]]) -> None:
     """Fill optimal/ratio columns from the row of the exact algorithm of
     the same gap regime and k in the same (sweep value, instance) cell,
     if that row proved its optimum; a timed-out incumbent is no reference."""
-    exact_of = {a.regime: name for name, a in ALGORITHMS.items() if a.exact and a.regime}
+    exact_of = {a.regime: name for name, a in ALGORITHMS.items() if a.exact}
     for records in by_cell.values():
         rows = {(r.algo, r.k): r for r in records}
         for record in records:
-            reference = rows.get((exact_of.get(ALGORITHMS[record.algo].regime), record.k))
+            reference = rows.get((exact_of[ALGORITHMS[record.algo].regime], record.k))
             if reference is None or reference.status != "optimal" or record.crossings is None:
                 continue
             record.optimal_crossings = reference.crossings

@@ -15,6 +15,7 @@ import click
 from .bench import ALGORITHMS, AlgoSpec, BenchConfig, run_bench, run_record, write_records
 from .core import (
     InputError,
+    Permutation,
     as_k,
     count_crossings,
     count_gaps,
@@ -25,7 +26,7 @@ from .core import (
     save_permutation,
 )
 from .draw import render_two_layer_svg
-from .exact import DEFAULT_TIME_BUDGET_S, brute_force_oracle, check_time_budget
+from .exact import DEFAULT_TIME_BUDGET_S, check_time_budget, enumerate_optima
 from .generator import GenParams, generate
 
 EXIT_INPUT_ERROR = 2
@@ -136,12 +137,18 @@ def solve(instance, algo, k, time_budget_s, out):
 @_handle_errors
 def oracle(instance, mode, k, out):
     """Exhaustive optimum for small instances (at most 9 top nodes)."""
+    if mode == "kgap":
+        if k is None:
+            raise InputError("kgap mode requires k")
+        k = as_k(k)
+    elif k is not None:
+        raise InputError(f"{mode} mode takes no k (got k={k})")
     inst = load_instance(instance)
-    permutation, value = brute_force_oracle(inst, mode, k=k)
+    order, value = enumerate_optima(inst, (k,) if k else ())[("kgap", k) if k else mode]
     if out:
-        save_permutation(permutation, out)
-    suffix = f" k={as_k(k)}" if mode == "kgap" else ""
-    click.echo(f"mode={mode}{suffix} crossings={value} order={list(permutation.order)}")
+        save_permutation(Permutation(order), out)
+    suffix = f" k={k}" if k else ""
+    click.echo(f"mode={mode}{suffix} crossings={value} order={list(order)}")
 
 
 @cli.command()

@@ -28,8 +28,7 @@ def render_two_layer_svg(inst: BipartiteInstance, pi2: Permutation) -> str:
     """Two-layer straight-line drawing: bottom row in pi1 order, top row
     in pi2 order, circles for real nodes, violet squares for dummies,
     dashed rectangles outlining each gap."""
-    if set(pi2.order) != set(inst.top_ids):
-        raise InputError("permutation does not match the instance's top layer")
+    report = count_gaps(inst, pi2)  # first: it refuses a pi2 off the top layer
 
     cols = max(len(inst.bottom), len(inst.top), 1)
     width = 2 * _MARGIN + _SPACING * (cols - 1)
@@ -54,7 +53,6 @@ def render_two_layer_svg(inst: BipartiteInstance, pi2: Permutation) -> str:
             f'x2="{_f(top_x[t])}" y2="{_TOP_Y}" stroke="#666" stroke-width="1"/>'
         )
 
-    report = count_gaps(inst, pi2)
     for start, end in report.runs:
         x0 = x_at(start) - _RADIUS - 5
         x1 = x_at(end) + _RADIUS + 5

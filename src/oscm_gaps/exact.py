@@ -1,5 +1,7 @@
 """Exact solvers: the ordering model, a branch-and-bound optimizer over
-permutation prefixes, and the exhaustive enumeration oracle.
+permutation prefixes, and the exhaustive enumeration oracle
+`enumerate_optima` (at most 9 top nodes; `oscm-gaps oracle` runs it),
+which shares no search code with the branch and bound it checks.
 
 The model uses 0/1 ordering variables x_ij (v_i before v_j) with
 antisymmetry and transitivity, plus gap variables g_ij for consecutive
@@ -336,28 +338,6 @@ def enumerate_optima(
     return {
         mode: (tuple(ids[u] for u in entry[1]), entry[0]) for mode, entry in best.items()
     }
-
-
-def brute_force_oracle(
-    inst: BipartiteInstance,
-    mode: Literal["unrestricted", "sidegap", "kgap"] = "unrestricted",
-    k: int | float | str | None = None,
-) -> tuple[Permutation, int]:
-    """Exhaustive optimum for one mode; see `enumerate_optima`. Only the
-    kgap mode takes k, read by `as_k`."""
-    if mode == "kgap":
-        if k is None:
-            raise InputError("kgap mode requires k")
-        k = as_k(k)
-        result = enumerate_optima(inst, ks=(k,))[("kgap", k)]
-    elif mode in ("unrestricted", "sidegap"):
-        if k is not None:
-            raise InputError(f"{mode} mode takes no k (got k={k})")
-        result = enumerate_optima(inst)[mode]
-    else:
-        raise InputError(f"unknown oracle mode: {mode!r}")
-    order, value = result
-    return Permutation(order), value
 
 
 # -- instance-level pipelines ------------------------------------------------

@@ -26,7 +26,6 @@ from oscm_gaps.bench import (
 )
 from oscm_gaps.core import InputError, count_crossings, count_gaps
 from oscm_gaps.exact import (
-    brute_force_oracle,
     build_kgap_model,
     enumerate_optima,
     export_model,
@@ -114,13 +113,12 @@ class TestSolveWith:
         inst = gen(7, 0.4, 2, seed)
         perm, status = solve_with(inst, AlgoSpec("exact_kgaps", 2))
         assert status == "optimal"
-        assert count_crossings(inst, perm) == brute_force_oracle(inst, "kgap", k=2)[1]
+        assert count_crossings(inst, perm) == enumerate_optima(inst, (2,))[("kgap", 2)][1]
 
     @pytest.mark.parametrize(
         "spec",
-        # every registry entry, k=2 where it takes one (the oracle's
-        # bounded-gap mode), plus the unrestricted oracle
-        [AlgoSpec(name).with_k(2) for name in ALGORITHMS] + [AlgoSpec("oracle")],
+        # every registry entry, k=2 where it takes one
+        [AlgoSpec(name).with_k(2) for name in ALGORITHMS],
     )
     def test_gap_constraints_respected(self, spec):
         inst = gen(7, 0.4, 2, 9)
@@ -129,7 +127,7 @@ class TestSolveWith:
         report = count_gaps(inst, perm)
         if spec.algorithm.regime == "sidegaps":
             assert report.is_side_gap_permutation
-        elif spec.k is not None:
+        else:
             assert report.count <= spec.k
 
 
@@ -251,30 +249,37 @@ class TestRunBench:
         # this instance's 1-gap optimum (17) is above its unrestricted one (14)
         base = {"n": 6, "f_dm": "0.5", "deg_avg": 2, "seed": 5}
         config = BenchConfig.from_dict(
-            {"sweep_param": "k", "values": [1, 2, 3], "instances": 1, "base_params": base, "algos": ["oracle"]}
+            {"sweep_param": "k", "values": [1, 2, 3], "instances": 1, "base_params": base, "algos": ["exact_kgaps"]}
         )
         rows = read_rows(run_bench(config, tmp_path)[0])
-        inst = gen(**base)
-        assert brute_force_oracle(inst, "kgap", k=1)[1] > brute_force_oracle(inst, "unrestricted")[1]
+        optima = enumerate_optima(gen(**base), (1, 2, 3))
+        assert (optima[("kgap", 1)][1], optima["unrestricted"][1]) == (17, 14)
         assert [r["k"] for r in rows] == ["1", "2", "3"]
         for row in rows:
             assert row["status"] == "optimal"
-            assert int(row["crossings"]) == brute_force_oracle(inst, "kgap", k=int(row["k"]))[1]
+            assert int(row["crossings"]) == optima[("kgap", int(row["k"]))][1]
 
-    def test_oracle_error_rows_do_not_stop_the_harness(self, tmp_path):
+    def test_oracle_error_rows_do_not_stop_the_harness(self, tmp_path, monkeypatch):
+        def fail(inst, k, time_budget_s):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setitem(bench.ALGORITHMS, "exact_kgaps", bench.Algorithm(fail, "kgaps", True))
         config = BenchConfig.from_dict(
             {
                 "sweep_param": None,
                 "instances": 2,
-                "base_params": {"n": 12, "f_dm": "0.25", "deg_avg": 2, "seed": 0},
-                "algos": ["oracle", "median_sidegaps"],
+                "base_params": {"n": 6, "f_dm": "0.25", "deg_avg": 2, "seed": 0},
+                "algos": ["exact_kgaps:2", "median_kgaps:2", "median_sidegaps"],
             }
         )
-        rows = read_rows(run_bench(config, tmp_path)[0])
-        oracle_rows = [r for r in rows if r["algo"] == "oracle"]
-        other_rows = [r for r in rows if r["algo"] != "oracle"]
-        assert all(r["status"].startswith("error:") for r in oracle_rows)
-        assert all(r["status"] == "ok" for r in other_rows)
+        csv_path, _ = run_bench(config, tmp_path)
+        rows = read_rows(csv_path)
+        failed = [r for r in rows if r["algo"] == "exact_kgaps"]
+        others = [r for r in rows if r["algo"] != "exact_kgaps"]
+        assert [r["status"] for r in failed] == ["error: solver fault"] * 2
+        assert [r["status"] for r in others] == ["ok"] * 4
+        # an error row is no ratio reference
+        assert all(r["optimal_crossings"] == "" for r in rows)
 
     def test_exact_run_above_twenty_nodes_writes_optimal_row(self, tmp_path):
         config = BenchConfig.from_dict(

@@ -13,7 +13,7 @@ from oscm_gaps import bench
 from oscm_gaps.bench import ALGORITHMS
 from oscm_gaps.cli import cli
 from oscm_gaps.core import count_crossings, load_instance, load_permutation, save_instance
-from oscm_gaps.exact import brute_force_oracle
+from oscm_gaps.exact import enumerate_optima
 from oscm_gaps.heuristics import heuristic_order
 
 DATA = Path(__file__).parent / "data"
@@ -90,7 +90,7 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         inst = load_instance(str(inst_path))
         perm = load_permutation(str(perm_path))
-        assert count_crossings(inst, perm) == brute_force_oracle(inst, "kgap", k=2)[1]
+        assert count_crossings(inst, perm) == enumerate_optima(inst, (2,))[("kgap", 2)][1]
         row = result.output.strip().splitlines()[-1].split(",")
         assert row[10] == "optimal"
         assert int(row[8]) <= 2  # recorded gaps respect the mode
@@ -157,6 +157,15 @@ class TestSolve:
         algo = next(p for p in cli.commands["solve"].params if p.name == "algo")
         assert list(algo.type.choices) == list(ALGORITHMS)
 
+    def test_oracle_is_no_algorithm(self, runner, tmp_path):
+        # the oracle is its own command, not a registry entry
+        inst_path = tmp_path / "inst.json"
+        invoke(runner, "generate", "--n", 4, "--out", inst_path)
+        result = invoke(runner, "solve", inst_path, "--algo", "oracle",
+                        "--out", tmp_path / "p.json")
+        assert result.exit_code == 2
+        assert all(name in result.output for name in ALGORITHMS)
+
     @pytest.mark.parametrize(
         "kinds, f_dm", [("rr", "0"), ("dd", "1")], ids=["edgeless_reals", "no_reals"]
     )
@@ -222,9 +231,9 @@ class TestOracleCommand:
         result = invoke(runner, "oracle", inst_path, "--mode", "sidegap")
         assert result.exit_code == 0
         inst = load_instance(str(inst_path))
-        assert f"crossings={brute_force_oracle(inst, 'sidegap')[1]}" in result.output
+        assert f"crossings={enumerate_optima(inst)['sidegap'][1]}" in result.output
 
-    @pytest.mark.parametrize("mode, k", [("unrestricted", 3), ("sidegap", 0)])
+    @pytest.mark.parametrize("mode, k", [("unrestricted", 3), ("sidegap", 0), ("sidegap", 2)])
     def test_k_outside_kgap_mode_exit_2(self, runner, tmp_path, mode, k):
         inst_path = tmp_path / "inst.json"
         invoke(runner, "generate", "--n", 6, "--out", inst_path)
@@ -384,13 +393,14 @@ class TestBenchCommand:
             ('{"algos": ', "invalid bench config"),
             ({**SMALL, "values": [8, 12]}, "values [8, 12] given without a sweep_param"),
             ({**SMALL, "algos": ["median_kgaps:"]}, "bad k of 'median_kgaps:'"),
+            ({**SMALL, "algos": ["oracle"]}, f"unknown algorithm 'oracle' (choose from {tuple(ALGORITHMS)})"),
         ],
         ids=[
             "list_config", "instances_text", "seed_text", "n_text", "k_text",
             "algo_number", "k_fraction", "k_zero", "algos_string", "unknown_key",
             "unknown_base_key", "needs_k", "empty_values", "k_suffix_fraction",
             "k_suffix_boolean", "unsweepable", "base_params_list", "no_algos",
-            "invalid_json", "values_without_sweep", "k_suffix_empty",
+            "invalid_json", "values_without_sweep", "k_suffix_empty", "oracle_algo",
         ],
     )
     def test_malformed_config_exit_2(self, runner, tmp_path, config, message):

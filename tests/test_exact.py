@@ -8,6 +8,7 @@ from dataclasses import replace
 from itertools import combinations, islice, pairwise
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 
 from conftest import gen, induced, instances, mk_instance, precedes
@@ -22,8 +23,10 @@ from oracles import (
     reference_dummy_order,
     solve_exported_ilp,
 )
+from test_acceptance import PAPER_SCALE_OPTIMA
 
 from oscm_gaps import exact
+from oscm_gaps.cli import cli
 from oscm_gaps.core import (
     BipartiteInstance,
     InputError,
@@ -32,10 +35,10 @@ from oscm_gaps.core import (
     count_crossings,
     count_gaps,
     pairwise_crossings,
+    save_instance,
 )
 from oscm_gaps.exact import (
     _cut_set_contraction,
-    brute_force_oracle,
     build_base_oscm_model,
     build_kgap_model,
     enumerate_optima,
@@ -396,38 +399,55 @@ class TestExportedILP:
             assert result.status == "optimal"
             assert_ilp_optimum(inst, build_kgap_model(inst, k), result.objective)
 
+    @pytest.mark.parametrize("seed, k", [(1, 1), (1, 2), (2, 2)])
+    def test_paper_scale(self, seed, k):
+        # criterion 10's instances: n=40, f_dm 0.2, degree 3; each model
+        # exports to about 12 MB and solves in a few seconds
+        inst = gen(40, "0.2", 3, seed)
+        result = solve_kgap_exact(inst, k)
+        assert result.status == "optimal"
+        assert result.objective == PAPER_SCALE_OPTIMA["experiment_gap_count"][(k, seed, "exact_kgaps")]
+        assert_ilp_optimum(inst, build_kgap_model(inst, k), result.objective)
+
 
 class TestOracle:
     def test_without_dummies_sidegap_equals_unrestricted(self):
-        inst = gen(6, 0, 2, 5)
-        assert brute_force_oracle(inst, "sidegap")[1] == brute_force_oracle(inst)[1]
+        optima = enumerate_optima(gen(6, 0, 2, 5))
+        assert optima["sidegap"][1] == optima["unrestricted"][1]
 
     def test_nested_feasible_sets(self):
         inst = gen(7, 0.4, 2, 2)
         n_dummy = len(inst.dummy_top_ids)
-        assert (
-            brute_force_oracle(inst, "kgap", k=n_dummy)[1]
-            <= brute_force_oracle(inst, "kgap", k=1)[1]
-        )
+        optima = enumerate_optima(inst, (1, n_dummy))
+        assert optima[("kgap", n_dummy)][1] <= optima[("kgap", 1)][1]
 
     def test_size_guard(self):
         with pytest.raises(InputError):
-            brute_force_oracle(gen(10, 0.2, 2, 0))
+            enumerate_optima(gen(10, 0.2, 2, 0))
 
-    def test_kgap_requires_k(self):
-        with pytest.raises(InputError):
-            brute_force_oracle(gen(4, 0.25, 1, 0), "kgap")
+    # The mode's k is checked by `oscm-gaps oracle` before the instance is
+    # enumerated, so a 12-node instance, which `enumerate_optima` refuses
+    # for its size, still gets the k message.
+    def oracle_refusal(self, tmp_path, *args):
+        inst_path = tmp_path / "inst.json"
+        save_instance(gen(12, 0.3, 2, 7), str(inst_path))
+        result = CliRunner().invoke(cli, ["oracle", str(inst_path), *map(str, args)])
+        assert result.exit_code == 2
+        return result.output
 
-    @pytest.mark.parametrize("mode, k", [("unrestricted", 3), ("sidegap", 0), ("sidegap", 2)])
-    def test_k_outside_kgap_mode_refused(self, mode, k):
-        with pytest.raises(InputError, match=f"{mode} mode takes no k"):
-            brute_force_oracle(gen(6, 0.3, 2, 7), mode, k=k)
+    def test_kgap_requires_k(self, tmp_path):
+        assert "kgap mode requires k" in self.oracle_refusal(tmp_path, "--mode", "kgap")
+
+    @pytest.mark.parametrize("mode, k", [("unrestricted", 3), ("sidegap", 0)])
+    def test_k_outside_kgap_mode_refused(self, tmp_path, mode, k):
+        output = self.oracle_refusal(tmp_path, "--mode", mode, "--k", k)
+        assert f"{mode} mode takes no k (got k={k})" in output
 
     @pytest.mark.parametrize("k", ["2", "2.0"])
     def test_text_k_reads_as_int(self, k):
         # read by as_k, as the CLI's --k text is
         inst = gen(7, 0.4, 2, 2)
-        assert brute_force_oracle(inst, "kgap", k) == brute_force_oracle(inst, "kgap", 2)
+        assert enumerate_optima(inst, (k,)) == enumerate_optima(inst, (2,))
 
     def test_empty_top(self):
         inst = BipartiteInstance.build([Node(0, "real")], [], [])

@@ -349,11 +349,11 @@ class TestPipelines:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_base_matches_sidegap_oracle(self, seed):
-        from oscm_gaps.exact import brute_force_oracle, solve_sidegap_exact
+        from oscm_gaps.exact import enumerate_optima, solve_sidegap_exact
 
         inst = gen(7, 0.4, 2, seed)
         merged = solve_sidegap_exact(inst).permutation
-        _, optimum = brute_force_oracle(inst, "sidegap")
+        _, optimum = enumerate_optima(inst)["sidegap"]
         assert count_crossings(inst, merged) == optimum
 
     @pytest.mark.parametrize("kind", ["median", "barycenter"])
@@ -367,9 +367,9 @@ class TestPipelines:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kgap_heuristic_between_oracle_and_three_times(self, seed):
-        from oscm_gaps.exact import brute_force_oracle
+        from oscm_gaps.exact import enumerate_optima
 
         inst = gen(7, 0.4, 2, seed)
-        _, optimum = brute_force_oracle(inst, "kgap", k=2)
+        _, optimum = enumerate_optima(inst, (2,))[("kgap", 2)]
         achieved = count_crossings(inst, solve_kgaps(inst, "median", 2))
         assert optimum <= achieved <= 3 * optimum
