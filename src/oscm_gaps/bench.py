@@ -306,15 +306,19 @@ class BenchConfig:
 def _rows(cells, time_budget_s: float):
     """(instance, meta, spec, time budget) per cell, in cell order. Each
     distinct instance is generated once, with its lookups built before
-    any row's timer, and released after its last row."""
-    last = {params: i for i, (_, _, params, _) in enumerate(cells)}
-    live: dict[GenParams, tuple[BipartiteInstance, dict]] = {}
-    for i, (_, _, params, spec) in enumerate(cells):
-        if params not in live:
+    any row's timer, and released after its last row. Each cell's params
+    are hashed once, into a small integer key: a `GenParams` hash goes
+    through its `Fraction` fields."""
+    number: dict[GenParams, int] = {}
+    keys = [number.setdefault(params, len(number)) for _, _, params, _ in cells]
+    last = {key: i for i, key in enumerate(keys)}
+    live: dict[int, tuple[BipartiteInstance, dict]] = {}
+    for i, (key, (_, _, params, spec)) in enumerate(zip(keys, cells)):
+        if key not in live:
             inst = generate(params)
             inst.build_lookups()
-            live[params] = (inst, instance_meta(params))
-        inst, meta = live.pop(params) if last[params] == i else live[params]
+            live[key] = (inst, instance_meta(params))
+        inst, meta = live.pop(key) if last[key] == i else live[key]
         yield inst, meta, spec, time_budget_s
 
 

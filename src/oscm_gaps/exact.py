@@ -10,16 +10,18 @@ Branch-and-bound searches permutation space directly, so transitivity
 holds implicitly in every explored state. It is plain OSCM: a k-gap
 optimum is the best optimum over the cut sets of the canonical d-dummy
 chain into min(k, d) segments, each searched as one node, and the
-unrestricted optimum is the k-gap one at k = max(1, d).
+unrestricted optimum is the k-gap one at k = max(1, d). The real nodes'
+optimum, searched first, gives every k-gap solve an incumbent and a
+floor for its cut sets' root bounds.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
-from operator import add, getitem, sub
+from math import inf
+from operator import add, getitem, itemgetter, sub
 from time import perf_counter
 from typing import Literal
 
@@ -31,7 +33,7 @@ from .core import (
     count_crossings,
     pairwise_crossings,
 )
-from .gap_placement import side_gap_merge, solve_kgaps
+from .gap_placement import k_gap_merge, side_gap_merge, solve_kgaps
 from .heuristics import heuristic_order
 
 ORACLE_NODE_LIMIT = 9
@@ -81,41 +83,58 @@ def export_model(model: OrderingModel) -> str:
     """Serialize to the documented JSON interchange schema, materializing
     every constraint, including the transitivity family that the solver
     otherwise keeps implicit. `x_u_v` is 1 when u precedes v; `g_a_b` is 1
-    when a real node sits between the consecutive chain dummies a and b."""
+    when a real node sits between the consecutive chain dummies a and b.
+
+    The text is `json.dumps(payload, indent=1)` plus a newline, written
+    from templates: with an indent, `json` takes its pure-Python encoder,
+    several times slower at paper scale. Names and ops hold no character
+    that JSON escapes."""
     p = len(model.ids)
 
     def x(i: int, j: int) -> str:
         return f"x_{model.ids[i]}_{model.ids[j]}"
-
-    def row(terms, op: Literal["<=", "="], rhs: int) -> dict:
-        return {"terms": [{"var": v, "coef": c} for v, c in terms], "op": op, "rhs": rhs}
 
     pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
     g_names = [f"g_{model.ids[i]}_{model.ids[j]}" for i, j in model.fixed_pairs]
     on_chain = set(model.chain)
     reals = [l for l in range(p) if l not in on_chain]
 
-    cons = [row([(x(i, j), 1), (x(j, i), 1)], "=", 1) for i in range(p) for j in range(i + 1, p)]
+    # (terms, op, rhs) per constraint
+    cons = [([(x(i, j), 1), (x(j, i), 1)], "=", 1) for i in range(p) for j in range(i + 1, p)]
     cons += [
-        row([(x(i, j), 1), (x(j, l), 1), (x(i, l), -1)], "<=", 1)
+        ([(x(i, j), 1), (x(j, l), 1), (x(i, l), -1)], "<=", 1)
         for i, j in pairs
         for l in range(p)
         if l != i and l != j
     ]
-    cons += [row([(x(i, j), 1)], "=", 1) for i, j in model.fixed_pairs]
+    cons += [([(x(i, j), 1)], "=", 1) for i, j in model.fixed_pairs]
     cons += [
-        row([(x(i, l), 1), (x(l, j), 1), (g, -1)], "<=", 1)
+        ([(x(i, l), 1), (x(l, j), 1), (g, -1)], "<=", 1)
         for (i, j), g in zip(model.fixed_pairs, g_names)
         for l in reals
     ]
     if g_names and model.gap_budget is not None:
-        cons.append(row([(g, 1) for g in g_names], "<=", model.gap_budget))
-    payload = {
-        "vars": [{"name": name} for name in [x(i, j) for i, j in pairs] + g_names],
-        "objective": [{"var": x(i, j), "coef": model.cost[i][j]} for i, j in pairs],
-        "constraints": cons,
-    }
-    return json.dumps(payload, indent=1) + "\n"
+        cons.append(([(g, 1) for g in g_names], "<=", model.gap_budget))
+
+    def listed(items: list[str], pad: str) -> str:
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+    var = '  {{\n   "name": "{}"\n  }}'.format
+    coef = '  {{\n   "var": "{}",\n   "coef": {}\n  }}'.format
+    term = '    {{\n     "var": "{}",\n     "coef": {}\n    }}'.format
+    row = '  {{\n   "terms": {},\n   "op": "{}",\n   "rhs": {}\n  }}'.format
+    return (
+        '{\n "vars": '
+        + listed([var(name) for name in [x(i, j) for i, j in pairs] + g_names], " ")
+        + ',\n "objective": '
+        + listed([coef(x(i, j), model.cost[i][j]) for i, j in pairs], " ")
+        + ',\n "constraints": '
+        + listed(
+            [row(listed([term(*t) for t in terms], "   "), op, rhs) for terms, op, rhs in cons],
+            " ",
+        )
+        + "\n}\n"
+    )
 
 
 def objective_value(model: OrderingModel, permutation: Permutation) -> int:
@@ -163,20 +182,24 @@ def check_time_budget(time_budget_s: float) -> None:
 
 def _root_bound(cost, start: int = 0) -> int:
     """Sum of min(c_uv, c_vu) over the pairs u < v with v >= `start`; over
-    all pairs, it is a lower bound on any order."""
-    return sum(
-        sum(map(min, row[max(u + 1, start) :], col[max(u + 1, start) :]))
-        for u, (row, col) in enumerate(zip(cost, zip(*cost)))
-    )
+    all pairs, it is a lower bound on any order. Column v is gathered once,
+    and min(c_uv, c_vu) = c_vu - max(c_vu - c_uv, 0)."""
+    total = 0
+    for v in range(max(start, 1), len(cost)):
+        row = cost[v][:v]
+        total += sum(row) - sum([e for e in map(sub, row, map(itemgetter(v), cost)) if e > 0])
+    return total
 
 
 def solve_branch_and_bound(
-    model: OrderingModel, time_budget_s: float, initial: Permutation
+    model: OrderingModel, time_budget_s: float, initial: Permutation, *, upper: float = inf
 ) -> SolveResult:
     """Depth-first search over permutation prefixes, starting from the
     incumbent `initial`, an order of the model's nodes. Every node visits
     its children in `initial`'s order, so the first descent follows the
-    incumbent.
+    incumbent. It prunes against the lower of `initial`'s objective and
+    `upper`, so a search given an `upper` at or below the optimum proves
+    that no order costs less and returns `initial` with its own objective.
 
     The bound at a prefix is the cost among placed pairs, plus the forced
     cost of placed-vs-unplaced pairs, plus min(c_uv, c_vu) over unplaced
@@ -187,9 +210,14 @@ def solve_branch_and_bound(
     of the best bound per placed set removes dominated revisits: for a
     fixed placed set the bound exceeds the prefix cost by a term of that
     set alone, so a lower bound there is a cheaper prefix of the same set.
+    With two nodes unplaced, each child's bound is the cost of its full
+    permutation, so the last two levels take it directly and store no memo
+    entry: one stored there always led to a leaf that lowered the
+    incumbent to it, so it could never prune a child that passes the
+    incumbent's test.
     It refuses a chained model: `solve_kgap_exact` reduces the chain away.
-    `nodes_explored` counts bound tests, the root's included; a budget of
-    0 returns `initial` unsearched.
+    `nodes_explored` counts bound tests, the root's and each leaf's
+    included; a budget of 0 returns `initial` unsearched.
     """
     check_time_budget(time_budget_s)
     if model.chain:
@@ -201,41 +229,50 @@ def solve_branch_and_bound(
     if p == 0:
         return SolveResult("optimal", initial, 0, perf_counter() - start, 0)
 
-    best_obj = objective_value(model, initial)
+    incumbent = objective_value(model, initial)
     if time_budget_s <= 0:
-        return SolveResult("timeout_incumbent", initial, best_obj, perf_counter() - start, 0)
+        return SolveResult("timeout_incumbent", initial, incumbent, perf_counter() - start, 0)
 
     cost = model.cost
     index = {v: i for i, v in enumerate(model.ids)}
-    best_order = [index[v] for v in initial.order]
 
-    extra = [list(map(sub, row, map(min, row, col))) for row, col in zip(cost, zip(*cost))]
+    extra = [[e if e > 0 else 0 for e in map(sub, row, col)] for row, col in zip(cost, zip(*cost))]
     extra_col = list(zip(*extra))
     esum = list(map(sum, extra))
     # each pair has c_uv + c_vu = 2 min(c_uv, c_vu) + extra[u][v] + extra[v][u]
     root_bound = (sum(map(sum, cost)) - sum(map(getitem, cost, range(p))) - sum(esum)) // 2
 
+    best_obj = min(incumbent, upper)
+    best_order: list[int] | None = None  # set when the search beats best_obj
     prefix: list[int] = []
     memo: dict[int, int] = {0: root_bound}
     nodes = 1  # the root's bound test
+    tick = 1024  # the next node count at which the deadline is checked
     deadline = start + time_budget_s
 
     def dfs(bound, mask, unplaced, esum) -> None:
         """Visit the children of a node: its placed set is `mask`, and its
-        `unplaced` nodes, in branching order, have extras `esum` against
-        each other."""
-        nonlocal best_obj, best_order, nodes
-        leaf = len(unplaced) == 1
-        for i, u in enumerate(unplaced):
-            nodes += 1
-            if nodes & 1023 == 0 and perf_counter() > deadline:
+        `unplaced` nodes (at least two), in branching order, have extras
+        `esum` against each other."""
+        nonlocal best_obj, best_order, nodes, tick
+        nodes += len(unplaced)
+        if nodes >= tick:
+            tick = (nodes | 1023) + 1
+            if perf_counter() > deadline:
                 raise _Timeout
+        slack = best_obj - bound
+        # the incumbent can improve inside the loop, so each survivor is
+        # tested again
+        children = [u for u in unplaced if esum[u] < slack]
+        if len(unplaced) == 2:
+            for u in children:
+                if bound + esum[u] < best_obj:
+                    nodes += 1  # the leaf's test
+                    best_obj = bound + esum[u]
+                    best_order = prefix + (unplaced if u == unplaced[0] else unplaced[::-1])
+            return
+        for u in children:
             child_bound = bound + esum[u]
-            if leaf:
-                # a full permutation's bound is its cost, and its parent's
-                # equal bound passed the test against the incumbent
-                best_obj, best_order = child_bound, prefix + [u]
-                continue
             if child_bound >= best_obj:
                 continue
             mask2 = mask | (1 << u)
@@ -245,22 +282,21 @@ def solve_branch_and_bound(
             if prev is not None or len(memo) < _MEMO_CAP:
                 memo[mask2] = child_bound
 
+            rest = unplaced.copy()
+            rest.remove(u)
             prefix.append(u)
-            dfs(
-                child_bound,
-                mask2,
-                unplaced[:i] + unplaced[i + 1 :],
-                list(map(sub, esum, extra_col[u])),
-            )
+            dfs(child_bound, mask2, rest, list(map(sub, esum, extra_col[u])))
             prefix.pop()
 
     status: Literal["optimal", "timeout_incumbent"] = "optimal"
     if root_bound < best_obj:
         try:
-            dfs(root_bound, 0, best_order, esum)
+            dfs(root_bound, 0, [index[v] for v in initial.order], esum)
         except _Timeout:
             status = "timeout_incumbent"
 
+    if best_order is None:
+        return SolveResult(status, initial, incumbent, perf_counter() - start, nodes)
     perm = Permutation(tuple(model.ids[u] for u in best_order))
     return SolveResult(status, perm, best_obj, perf_counter() - start, nodes)
 
@@ -356,33 +392,45 @@ def solve_kgap_exact(
 ) -> SolveResult:
     """Exact optimum over permutations with at most k gaps: the best
     optimum over the chain's cut sets, taken lazily with the deadline
-    checked before each. A cut set not pruned by its root bound is searched
-    from the best order, each segment at its first dummy's place. Segments
+    checked before each.
+
+    Crossings among real nodes do not depend on the dummies, and
+    `k_gap_merge` is exact for a given real order, so the real nodes are
+    searched first, from the median k-gap order's. Their optimum, merged,
+    is an incumbent beside that order; once proven, it replaces the real
+    pairs' minima in every cut set's root bound. A cut set not pruned by
+    its root bound is searched from the best order, each segment at its
+    first dummy's place, against the best objective so far. Segments
     leave chain order only at equal cost, so refilling an improving order's
     dummy slots in canonical order keeps crossings and gaps."""
     check_time_budget(time_budget_s)
     k = as_k(k)
     start = perf_counter()
+    deadline = start + time_budget_s
     model = build_kgap_model(inst, k)
     best = solve_kgaps(inst, "median", k)
     best_obj = objective_value(model, best)
-    dummies, d = [model.ids[c] for c in model.chain], len(model.chain)
     contract = _cut_set_contraction(model)
-    status, nodes = "optimal", 0
+    real_model, real_root = contract([])  # no segment: the real nodes alone
+    real = _search(real_model, deadline, best)
+    merged, mixed = k_gap_merge(inst, real.permutation, k)
+    if real.objective + mixed < best_obj:
+        best, best_obj = merged, real.objective + mixed
+    lift = real.objective - real_root if real.status == "optimal" else 0
+    dummies, d = [model.ids[c] for c in model.chain], len(model.chain)
+    status, nodes = "optimal", real.nodes_explored
     for cuts in combinations(range(1, d), min(k, d) - 1) if d else [()]:
-        if (remaining := start + time_budget_s - perf_counter()) <= 0:
+        if perf_counter() >= deadline:
             status = "timeout_incumbent"
             break
         bounds = list(pairwise((0, *cuts, d))) if d else []
         contracted, root_bound = contract(bounds)
-        if root_bound >= best_obj:
+        if root_bound + lift >= best_obj:
             continue
-        width = {dummies[a]: b - a for a, b in bounds}
-        tails = set(dummies).difference(width)
-        initial = Permutation(tuple(v for v in best.order if v not in tails))
-        result = solve_branch_and_bound(contracted, remaining, initial)
+        result = _search(contracted, deadline, best, upper=best_obj)
         nodes += result.nodes_explored
         if result.objective < best_obj:
+            width = {dummies[a]: b - a for a, b in bounds}
             slots = [v for h in result.permutation.order for v in [h] * width.get(h, 1)]
             canonical = iter(dummies)
             best = Permutation(tuple(next(canonical) if v in width else v for v in slots))
@@ -390,6 +438,17 @@ def solve_kgap_exact(
         if (status := result.status) != "optimal":
             break
     return SolveResult(status, best, best_obj, perf_counter() - start, nodes)
+
+
+def _search(
+    model: OrderingModel, deadline: float, incumbent: Permutation, upper: float = inf
+) -> SolveResult:
+    """`solve_branch_and_bound` on the chain-free `model` until the
+    `perf_counter` time `deadline`, from `incumbent`'s order of the
+    model's nodes (it may hold others)."""
+    ids = set(model.ids)
+    initial = Permutation(tuple(v for v in incumbent.order if v in ids))
+    return solve_branch_and_bound(model, max(0.0, deadline - perf_counter()), initial, upper=upper)
 
 
 def _cut_set_contraction(
@@ -408,15 +467,18 @@ def _cut_set_contraction(
     reals = [i for i in range(len(model.ids)) if i not in on_chain]
     r = len(reals)
 
-    def prefixed(row) -> list[int]:
-        return [row[j] for j in reals] + list(accumulate((row[c] for c in chain), initial=0))
-
-    rows = [prefixed(model.cost[i]) for i in reals]
+    order = reals + list(chain)
+    # the costs with rows and columns in `order`, by two transpositions
+    columns = list(zip(*[model.cost[i] for i in order]))
+    prefixed = [
+        [*row[:r], *accumulate(row[r:], initial=0)] for row in zip(*[columns[j] for j in order])
+    ]
+    rows = prefixed[:r]
     chain_rows = list(
         accumulate(
-            (prefixed(model.cost[c]) for c in chain),
+            prefixed[r:],
             lambda total, row: list(map(add, total, row)),
-            initial=[0] * (r + len(chain) + 1),
+            initial=[0] * (len(order) + 1),
         )
     )
     real_root = _root_bound([row[:r] for row in rows])
@@ -444,10 +506,11 @@ def solve_sidegap_exact(
     so the composition stays exact). Crossings among real nodes do not
     depend on the dummies, so the search reads the real nodes' rows of the
     instance's crossing counts."""
+    check_time_budget(time_budget_s)
     start = perf_counter()
     reals = inst.real_top_ids
     model = build_base_oscm_model(inst, reals)
-    inner = solve_branch_and_bound(model, time_budget_s, heuristic_order(inst, reals, "median"))
+    inner = _search(model, start + time_budget_s, heuristic_order(inst, reals, "median"))
     merged = side_gap_merge(inst, inner.permutation)
     return SolveResult(
         inner.status,

@@ -49,7 +49,7 @@ from oscm_gaps.exact import (
     solve_sidegap_exact,
     solve_unrestricted_exact,
 )
-from oscm_gaps.gap_placement import solve_kgaps
+from oscm_gaps.gap_placement import k_gap_merge, solve_kgaps
 from oscm_gaps.heuristics import heuristic_order
 
 
@@ -118,6 +118,14 @@ class TestExport:
         assert digest.hexdigest() == (
             "042a07ce9ff166ee904c58e1fc2cd8a7c248da4dd4669d415afd8c202eb85493"
         )
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_text_is_json_dumps_indent_one(self, k):
+        # the templates lay the payload out as json.dumps(payload, indent=1)
+        inst = gen(12, "0.2", 3, 1)
+        model = build_kgap_model(inst, k) if k else build_base_oscm_model(inst, inst.top_ids)
+        text = export_model(model)
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
     def test_reader_flags_infeasible_orders(self):
         # chain 102 -> 103 (bottom positions 0, 1), k = 1
@@ -232,6 +240,32 @@ class TestBranchAndBound:
         assert count_gaps(inst, perm).count <= g_sum + 1 <= 2
 
 
+class TestUpperBound:
+    """The search prunes against the lower of its incumbent's objective
+    and `upper`: above the optimum it returns the optimum; at or below it,
+    it proves that no order is cheaper and returns `initial` with its own
+    objective. Either way it visits no more nodes than without `upper`."""
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, inst):
+        optimum = enumerate_optima(inst)["unrestricted"][1]
+        model = build_base_oscm_model(inst, inst.top_ids)
+        for initial in (Permutation(model.ids), heuristic_order(inst, inst.top_ids, "median")):
+            unbounded = solve_branch_and_bound(model, 60.0, initial)
+            assert unbounded.objective == optimum
+            incumbent = objective_value(model, initial)
+            for upper in {optimum - 1, optimum, optimum + 1, incumbent, incumbent + 1}:
+                result = solve_branch_and_bound(model, 60.0, initial, upper=upper)
+                assert result.status == "optimal"
+                if upper > optimum:
+                    assert result.objective == optimum
+                    assert objective_value(model, result.permutation) == optimum
+                else:
+                    assert (result.permutation, result.objective) == (initial, incumbent)
+                assert result.nodes_explored <= unbounded.nodes_explored
+
+
 def outcome(result):
     return result.status, result.permutation, result.objective, result.nodes_explored
 
@@ -289,9 +323,12 @@ class TestMatchesReferenceSearch:
 
     def test_desk_sweeps_node_total(self):
         """Summed nodes of the exact solves in the cells of the benchmark's
-        desk_sweeps workload on its seed 1, recorded when the search began
-        to visit children in the incumbent's order. A change that keeps
-        the search's moves keeps this total."""
+        desk_sweeps workload on its seed 1. The side-gap total was recorded
+        when the search began to visit children in the incumbent's order,
+        the k-gap total when the k-gap solve began with the real nodes'
+        search, whose nodes it includes, and pruned every cut set against
+        the best objective so far. A change that keeps the search's moves
+        keeps both totals."""
         cells = [(16, seed, k) for seed in range(2, 22) for k in range(1, 6)]
         cells += [(n, seed, 2) for n in (8, 12, 16, 20) for seed in range(2, 22)]
         kgap = sum(solve_kgap_exact(gen(n, "0.2", 3, s), k, 60.0).nodes_explored for n, s, k in cells)
@@ -300,8 +337,8 @@ class TestMatchesReferenceSearch:
             for n in (8, 12, 16, 20)
             for s in range(2, 22)
         )
-        assert (kgap, sidegap) == (95_750, 24_723)
-        assert kgap + sidegap == 120_473
+        assert (kgap, sidegap) == (53_834, 24_723)
+        assert kgap + sidegap == 78_557
 
     @pytest.mark.parametrize("with_incumbent", [False, True])
     def test_zero_budget(self, with_incumbent):
@@ -504,12 +541,13 @@ class TestTimeout:
         assert result.objective <= count_crossings(inst, initial)
 
     def test_zero_budget_returns_heuristic_unsearched(self):
-        # root bounds prune every cut set here, so any positive budget
-        # proves the heuristic optimal without a search node
+        # the real nodes' root bound proves their median order optimal, and
+        # root bounds prune every cut set, so any positive budget proves
+        # the heuristic optimal with one bound test
         inst = gen(8, "0.2", 3, 1)
         heuristic = solve_kgaps(inst, "median", 2)
         proven = solve_kgap_exact(inst, 2)
-        assert (proven.status, proven.nodes_explored) == ("optimal", 0)
+        assert (proven.status, proven.nodes_explored) == ("optimal", 1)
         assert proven.objective == count_crossings(inst, heuristic)
         result = solve_kgap_exact(inst, 2, 0.0)
         assert (result.status, result.nodes_explored) == ("timeout_incumbent", 0)
@@ -616,18 +654,52 @@ class TestKgapCutSets:
         assert (result.status, result.objective) == ("optimal", optimum)
         assert_kgap_output(inst, result, 1)
 
+    @pytest.mark.parametrize(
+        "n, f_dm, deg, seed, k", [(12, "0.5", 2, 0, 3), (16, "0.2", 3, 3, 1), (12, "0.2", 3, 13, 2)]
+    )
+    def test_searches_prune_against_the_best_objective(self, monkeypatch, n, f_dm, deg, seed, k):
+        """The real nodes' search runs first and unbounded; its merged
+        optimum competes with the median k-gap order, and every cut-set
+        search gets the best objective so far as `upper`."""
+        inst = gen(n, f_dm, deg, seed)
+        calls = []
+
+        def recorded(model, time_budget_s, initial, **kwargs):
+            result = search(model, time_budget_s, initial, **kwargs)
+            calls.append((kwargs.get("upper", math.inf), result))
+            return result
+
+        search = exact.solve_branch_and_bound
+        monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
+        solved = solve_kgap_exact(inst, k)
+        (real_upper, real), *cut_sets = calls
+        assert real_upper == math.inf
+        assert sorted(real.permutation.order) == sorted(inst.real_top_ids)
+        merged, _ = k_gap_merge(inst, real.permutation, k)
+        best = min(
+            count_crossings(inst, solve_kgaps(inst, "median", k)), count_crossings(inst, merged)
+        )
+        assert cut_sets, "no cut set was searched"
+        for upper, result in cut_sets:
+            assert upper == best
+            best = min(best, result.objective)
+        assert (solved.status, solved.objective) == ("optimal", best)
+
     def test_equal_neighbour_tie_keeps_canonical_order(self, monkeypatch):
         """A search may return tied segments out of chain order; the solve
         refills the dummy slots in canonical order. The wrapped search
-        swaps the first two adjacent segments whose costs tie both ways,
-        which keeps the objective."""
-        inst = gen(6, "0.5", 2, 3)
-        # all three dummies tie on one neighbour
-        assert {b for b, t in inst.edges if inst.top_kind[t] == "dummy"} == {0}
+        swaps the first two adjacent segments whose costs tie both ways in
+        an order that improves on its incumbent, which keeps the
+        objective."""
+        inst = gen(12, "0.5", 2, 0)
+        # the first two dummies of the chain tie on one neighbour
+        assert inst.dummy_chain[:2] == ((0, 18), (0, 22))
         swapped = []
 
-        def tie_swapped(model, time_budget_s, initial):
-            result = search(model, time_budget_s, initial)
+        def tie_swapped(model, time_budget_s, initial, **kwargs):
+            result = search(model, time_budget_s, initial, **kwargs)
+            if result.permutation == initial:  # nothing below the bound
+                return result
             order = list(result.permutation.order)
             index = {v: i for i, v in enumerate(model.ids)}
             for a, (u, v) in enumerate(pairwise(order)):
@@ -644,12 +716,17 @@ class TestKgapCutSets:
 
         search = exact.solve_branch_and_bound
         monkeypatch.setattr(exact, "solve_branch_and_bound", tie_swapped)
-        result = solve_kgap_exact(inst, 2)
-        # a swapped search result put dummy 10's segment before dummy 9's
-        assert any(precedes(p, 10, 9) for p in swapped)
-        assert result.status == "optimal"
-        assert result.objective == enumerate_optima(inst, ks=(2,))[("kgap", 2)][1]
-        assert_kgap_output(inst, result, 2)
+        result = solve_kgap_exact(inst, 3)
+        # an improving search result put dummy 22's segment before dummy 18's
+        assert any(precedes(p, 22, 18) for p in swapped)
+        monkeypatch.undo()
+        # 12 top nodes: the gap-tracking reference search, not the oracle
+        reference = reference_branch_and_bound(
+            build_kgap_model(inst, 3), 60.0, solve_kgaps(inst, "median", 3)
+        )
+        assert reference.status == result.status == "optimal"
+        assert result.objective == reference.objective
+        assert_kgap_output(inst, result, 3)
 
 
 class TestUnrestrictedReduction:
