@@ -11,8 +11,8 @@ holds implicitly in every explored state. It is plain OSCM: a k-gap
 optimum is the best optimum over the cut sets of the canonical d-dummy
 chain into min(k, d) segments, each searched as one node, and the
 unrestricted optimum is the k-gap one at k = max(1, d). The real nodes'
-optimum, searched first, gives every k-gap solve an incumbent and a
-floor for its cut sets' root bounds.
+optimum, searched first, gives every k-gap solve an incumbent and, with
+one floor per segment, each cut set's root bound.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
 from math import inf
-from operator import add, getitem, itemgetter, sub
+from operator import add, getitem, sub
 from time import perf_counter
 from typing import Literal
 
@@ -178,17 +178,6 @@ def check_time_budget(time_budget_s: float) -> None:
     (no limit) are valid."""
     if not time_budget_s >= 0:
         raise InputError(f"time budget must be a number of seconds >= 0, got {time_budget_s}")
-
-
-def _root_bound(cost, start: int = 0) -> int:
-    """Sum of min(c_uv, c_vu) over the pairs u < v with v >= `start`; over
-    all pairs, it is a lower bound on any order. Column v is gathered once,
-    and min(c_uv, c_vu) = c_vu - max(c_vu - c_uv, 0)."""
-    total = 0
-    for v in range(max(start, 1), len(cost)):
-        row = cost[v][:v]
-        total += sum(row) - sum([e for e in map(sub, row, map(itemgetter(v), cost)) if e > 0])
-    return total
 
 
 def solve_branch_and_bound(
@@ -397,10 +386,11 @@ def solve_kgap_exact(
     Crossings among real nodes do not depend on the dummies, and
     `k_gap_merge` is exact for a given real order, so the real nodes are
     searched first, from the median k-gap order's. Their optimum, merged,
-    is an incumbent beside that order; once proven, it replaces the real
-    pairs' minima in every cut set's root bound. A cut set not pruned by
-    its root bound is searched from the best order, each segment at its
-    first dummy's place, against the best objective so far. Segments
+    is an incumbent beside that order. It ends the solve when its search
+    timed out (only past the deadline) or there is no dummy. A cut set
+    whose root bound, the real optimum plus its segments' floors, does not
+    prune it is contracted and searched from the best order, each segment
+    at its first dummy's place, against the best objective so far. Segments
     leave chain order only at equal cost, so refilling an improving order's
     dummy slots in canonical order keeps crossings and gaps."""
     check_time_budget(time_budget_s)
@@ -410,24 +400,23 @@ def solve_kgap_exact(
     model = build_kgap_model(inst, k)
     best = solve_kgaps(inst, "median", k)
     best_obj = objective_value(model, best)
-    contract = _cut_set_contraction(model)
-    real_model, real_root = contract([])  # no segment: the real nodes alone
-    real = _search(real_model, deadline, best)
+    contract, floor = _cut_set_contraction(model)
+    real = _search(contract([]), deadline, best)  # no segment: the real nodes alone
     merged, mixed = k_gap_merge(inst, real.permutation, k)
     if real.objective + mixed < best_obj:
         best, best_obj = merged, real.objective + mixed
-    lift = real.objective - real_root if real.status == "optimal" else 0
+    status, nodes = real.status, real.nodes_explored
     dummies, d = [model.ids[c] for c in model.chain], len(model.chain)
-    status, nodes = "optimal", real.nodes_explored
-    for cuts in combinations(range(1, d), min(k, d) - 1) if d else [()]:
+    if status != "optimal" or not d:
+        return SolveResult(status, best, best_obj, perf_counter() - start, nodes)
+    for cuts in combinations(range(1, d), min(k, d) - 1):
         if perf_counter() >= deadline:
             status = "timeout_incumbent"
             break
-        bounds = list(pairwise((0, *cuts, d))) if d else []
-        contracted, root_bound = contract(bounds)
-        if root_bound + lift >= best_obj:
+        bounds = list(pairwise((0, *cuts, d)))
+        if real.objective + sum(floor(a, b) for a, b in bounds) >= best_obj:
             continue
-        result = _search(contracted, deadline, best, upper=best_obj)
+        result = _search(contract(bounds), deadline, best, upper=best_obj)
         nodes += result.nodes_explored
         if result.objective < best_obj:
             width = {dummies[a]: b - a for a, b in bounds}
@@ -453,11 +442,13 @@ def _search(
 
 def _cut_set_contraction(
     model: OrderingModel,
-) -> Callable[[list[tuple[int, int]]], tuple[OrderingModel, int]]:
-    """The contraction of the k-gap `model` for one cut set, as a function
-    of the segments' chain slices `bounds`: the chain-free model of its
-    real nodes and one node per segment, named after its first dummy, whose
-    costs sum its dummies', and that model's root bound.
+) -> tuple[Callable[[list[tuple[int, int]]], OrderingModel], Callable[[int, int], int]]:
+    """For the k-gap `model`: `contract(bounds)`, the chain-free model of
+    one cut set given by its segments' chain slices (its real nodes and one
+    node per segment, named after its first dummy, whose costs sum its
+    dummies'), and `floor(a, b)`, the sum over real i of min(c_i,seg,
+    c_seg,i) for the segment a:b. No two chain dummies' edges cross, so
+    the model's root bound is the real pairs' part plus its floors.
 
     Each row is kept with its chain columns as prefix sums, and the chain
     rows as column-wise prefix sums, so every entry that involves a
@@ -481,20 +472,26 @@ def _cut_set_contraction(
             initial=[0] * (len(order) + 1),
         )
     )
-    real_root = _root_bound([row[:r] for row in rows])
+    # per chain prefix j: each real node's cost before the first j dummies,
+    # and theirs before it
+    real_first = [[row[r + j] for row in rows] for j in range(len(chain_rows))]
+    chain_first = [row[:r] for row in chain_rows]
     real_ids = [model.ids[i] for i in reals]
 
-    def contract(bounds) -> tuple[OrderingModel, int]:
+    def contract(bounds) -> OrderingModel:
         segment_rows = [list(map(sub, chain_rows[b], chain_rows[a])) for a, b in bounds]
         cost = tuple(
             tuple(row[:r] + [row[r + b] - row[r + a] for a, b in bounds])
             for row in rows + segment_rows
         )
         ids = tuple(real_ids + [model.ids[chain[a]] for a, _ in bounds])
-        # the pairs of real nodes are the same in every cut set
-        return OrderingModel(ids, cost, (), None), real_root + _root_bound(cost, r)
+        return OrderingModel(ids, cost, (), None)
 
-    return contract
+    def floor(a: int, b: int) -> int:
+        before = map(sub, real_first[b], real_first[a])
+        return sum(map(min, before, map(sub, chain_first[b], chain_first[a])))
+
+    return contract, floor
 
 
 def solve_sidegap_exact(

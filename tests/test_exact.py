@@ -10,8 +10,9 @@ from itertools import combinations, islice, pairwise
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gen, induced, instances, mk_instance, precedes
+from conftest import dummy_bottom_instances, gen, induced, instances, mk_instance, precedes
 from oracles import (
     best_by_enumeration,
     evaluate_exported_ilp,
@@ -606,7 +607,7 @@ class TestKgapCutSets:
     """The k-gap solve searches plain OSCM models, one per cut set of the
     canonical dummy chain."""
 
-    @given(instances())
+    @given(st.one_of(instances(), dummy_bottom_instances()))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, inst):
         optima = enumerate_optima(inst, ks=(1, 2, 3))
@@ -619,20 +620,25 @@ class TestKgapCutSets:
     @staticmethod
     def assert_contractions_match(model, cut_sets):
         """The prefix-sum contraction of each cut set equals the per-entry
-        one, root bound and names included."""
-        contract = _cut_set_contraction(model)
+        one, names included, and its root bound is the real nodes' root
+        bound plus the floors of its segments: no pair of segments adds
+        to it."""
+        contract, floor = _cut_set_contraction(model)
         chain, d = model.chain, len(model.chain)
         reals = [i for i in range(len(model.ids)) if i not in set(chain)]
+        _, real_root = reference_contraction(model, [])
         for cuts in cut_sets:
             bounds = list(pairwise((0, *cuts, d))) if d else []
             segments = [chain[a:b] for a, b in bounds]
-            contracted, root_bound = contract(bounds)
-            assert (contracted.cost, root_bound) == reference_contraction(model, segments)
+            cost, root_bound = reference_contraction(model, segments)
+            contracted = contract(bounds)
+            assert contracted.cost == cost
+            assert root_bound == real_root + sum(floor(a, b) for a, b in bounds)
             groups = [(i,) for i in reals] + segments
             assert contracted.ids == tuple(model.ids[g[0]] for g in groups)
             assert contracted.chain == ()
 
-    @given(instances())
+    @given(st.one_of(instances(), dummy_bottom_instances()))
     @settings(max_examples=60, deadline=None)
     def test_contraction_matches_per_entry_sums(self, inst):
         for k in (1, 2, 3, 4):
