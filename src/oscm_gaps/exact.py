@@ -12,13 +12,15 @@ optimum is the best optimum over the cut sets of the canonical d-dummy
 chain into min(k, d) segments, each searched as one node, and the
 unrestricted optimum is the k-gap one at k = max(1, d). The real nodes'
 optimum, searched first, gives every k-gap solve an incumbent and, with
-one floor per segment, each cut set's root bound.
+one floor per segment, each cut set's root bound. Every search starts
+from the greedy switch of its incumbent.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations, pairwise
 from math import inf
 from operator import add, getitem, sub
@@ -385,13 +387,15 @@ def solve_kgap_exact(
 
     Crossings among real nodes do not depend on the dummies, and
     `k_gap_merge` is exact for a given real order, so the real nodes are
-    searched first, from the median k-gap order's. Their optimum, merged,
-    is an incumbent beside that order. It ends the solve when its search
-    timed out (only past the deadline) or there is no dummy. A cut set
-    whose root bound, the real optimum plus its segments' floors, does not
-    prune it is contracted and searched from the best order, each segment
-    at its first dummy's place, against the best objective so far. Segments
-    leave chain order only at equal cost, so refilling an improving order's
+    searched first, from the greedy switch of the median k-gap order's
+    real order. Their optimum (at budget 0, that switched order), merged,
+    is an incumbent beside the median k-gap order. It ends the solve when
+    its search timed out (only past the deadline) or there is no dummy. A
+    cut set whose root bound, the real optimum plus its segments' floors,
+    does not prune it is contracted and searched from the greedy switch of
+    the best order, each segment at its first dummy's place, against the
+    best objective so far. Segments leave chain order only at equal cost
+    (a strict switch never moves them), so refilling an improving order's
     dummy slots in canonical order keeps crossings and gaps."""
     check_time_budget(time_budget_s)
     k = as_k(k)
@@ -429,14 +433,34 @@ def solve_kgap_exact(
     return SolveResult(status, best, best_obj, perf_counter() - start, nodes)
 
 
+def greedy_switch(model: OrderingModel, permutation: Permutation) -> Permutation:
+    """The greedy switch of Eades and Kelly: left-to-right passes over
+    `permutation`, an order of the model's nodes, that swap adjacent u, v
+    whenever `c_vu < c_uv`, until a pass makes no swap. Each swap lowers
+    the integer objective by `c_uv - c_vu`, so the passes end."""
+    index = {v: i for i, v in enumerate(model.ids)}
+    order = [index[v] for v in permutation.order]
+    cost = model.cost
+    swapped = True
+    while swapped:
+        swapped = False
+        for a in range(len(order) - 1):
+            u, v = order[a], order[a + 1]
+            if cost[v][u] < cost[u][v]:
+                order[a], order[a + 1] = v, u
+                swapped = True
+    return Permutation(tuple(model.ids[u] for u in order))
+
+
 def _search(
     model: OrderingModel, deadline: float, incumbent: Permutation, upper: float = inf
 ) -> SolveResult:
     """`solve_branch_and_bound` on the chain-free `model` until the
-    `perf_counter` time `deadline`, from `incumbent`'s order of the
-    model's nodes (it may hold others)."""
+    `perf_counter` time `deadline`, from the greedy switch of `incumbent`'s
+    order of the model's nodes (it may hold others). The switch runs even
+    with no time left: it belongs to the incumbent, not to the search."""
     ids = set(model.ids)
-    initial = Permutation(tuple(v for v in incumbent.order if v in ids))
+    initial = greedy_switch(model, Permutation(tuple(v for v in incumbent.order if v in ids)))
     return solve_branch_and_bound(model, max(0.0, deadline - perf_counter()), initial, upper=upper)
 
 
@@ -447,8 +471,10 @@ def _cut_set_contraction(
     one cut set given by its segments' chain slices (its real nodes and one
     node per segment, named after its first dummy, whose costs sum its
     dummies'), and `floor(a, b)`, the sum over real i of min(c_i,seg,
-    c_seg,i) for the segment a:b. No two chain dummies' edges cross, so
-    the model's root bound is the real pairs' part plus its floors.
+    c_seg,i) for the segment a:b, cached per segment (a chain of d dummies
+    has d(d+1)/2 of them, and each recurs in many cut sets). No two chain
+    dummies' edges cross, so the model's root bound is the real pairs'
+    part plus its floors.
 
     Each row is kept with its chain columns as prefix sums, and the chain
     rows as column-wise prefix sums, so every entry that involves a
@@ -487,6 +513,7 @@ def _cut_set_contraction(
         ids = tuple(real_ids + [model.ids[chain[a]] for a, _ in bounds])
         return OrderingModel(ids, cost, (), None)
 
+    @cache
     def floor(a: int, b: int) -> int:
         before = map(sub, real_first[b], real_first[a])
         return sum(map(min, before, map(sub, chain_first[b], chain_first[a])))
@@ -498,11 +525,11 @@ def solve_sidegap_exact(
     inst: BipartiteInstance, time_budget_s: float = DEFAULT_TIME_BUDGET_S
 ) -> SolveResult:
     """Exact optimum over side-gap permutations: the optimum order of the
-    real nodes, searched from their median order, with the dummies then
-    placed into side gaps (the placement is independent of the real order,
-    so the composition stays exact). Crossings among real nodes do not
-    depend on the dummies, so the search reads the real nodes' rows of the
-    instance's crossing counts."""
+    real nodes, searched from the greedy switch of their median order,
+    with the dummies then placed into side gaps (the placement is
+    independent of the real order, so the composition stays exact).
+    Crossings among real nodes do not depend on the dummies, so the search
+    reads the real nodes' rows of the instance's crossing counts."""
     check_time_budget(time_budget_s)
     start = perf_counter()
     reals = inst.real_top_ids

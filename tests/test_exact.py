@@ -44,6 +44,7 @@ from oscm_gaps.exact import (
     build_kgap_model,
     enumerate_optima,
     export_model,
+    greedy_switch,
     objective_value,
     solve_branch_and_bound,
     solve_kgap_exact,
@@ -324,12 +325,12 @@ class TestMatchesReferenceSearch:
 
     def test_desk_sweeps_node_total(self):
         """Summed nodes of the exact solves in the cells of the benchmark's
-        desk_sweeps workload on its seed 1. The side-gap total was recorded
-        when the search began to visit children in the incumbent's order,
-        the k-gap total when the k-gap solve began with the real nodes'
-        search, whose nodes it includes, and pruned every cut set against
-        the best objective so far. A change that keeps the search's moves
-        keeps both totals."""
+        desk_sweeps workload on its seed 1. Both totals were recorded when
+        every search began to start from the greedy switch of its
+        incumbent (before it, from the median orders: 53,834 and 24,723).
+        The k-gap total includes the real nodes' searches, and every cut
+        set is pruned against the best objective so far. A change that
+        keeps the search's moves and its start orders keeps both totals."""
         cells = [(16, seed, k) for seed in range(2, 22) for k in range(1, 6)]
         cells += [(n, seed, 2) for n in (8, 12, 16, 20) for seed in range(2, 22)]
         kgap = sum(solve_kgap_exact(gen(n, "0.2", 3, s), k, 60.0).nodes_explored for n, s, k in cells)
@@ -338,16 +339,24 @@ class TestMatchesReferenceSearch:
             for n in (8, 12, 16, 20)
             for s in range(2, 22)
         )
-        assert (kgap, sidegap) == (53_834, 24_723)
-        assert kgap + sidegap == 78_557
+        assert (kgap, sidegap) == (21_861, 9_040)
+        assert kgap + sidegap == 30_901
 
     @pytest.mark.parametrize("with_incumbent", [False, True])
     def test_zero_budget(self, with_incumbent):
         inst = gen(12, "0.2", 3, 1)
         if with_incumbent:
-            initial = solve_kgaps(inst, "median", 2)
-            new, ref = assert_same_kgap_optimum(inst, 2, initial, time_budget_s=0.0)
-            assert (new.permutation, new.nodes_explored) == (ref.permutation, ref.nodes_explored)
+            # the greedy switch belongs to the incumbent, so it runs at
+            # budget 0: the solve returns the better of the median k-gap
+            # order and the merge of its switched real order, unsearched
+            median = solve_kgaps(inst, "median", 2)
+            real_model = build_base_oscm_model(inst, inst.real_top_ids)
+            real_order = greedy_switch(real_model, induced(median, inst.real_top_ids))
+            switched, _ = k_gap_merge(inst, real_order, 2)
+            assert (count_crossings(inst, median), count_crossings(inst, switched)) == (148, 141)
+            new = solve_kgap_exact(inst, 2, 0.0)
+            ref = reference_branch_and_bound(build_kgap_model(inst, 2), 0.0, initial=switched)
+            assert outcome(new) == outcome(ref) == ("timeout_incumbent", switched, 141, 0)
         else:
             model = build_base_oscm_model(inst, inst.top_ids)
             assert_same_search(model, Permutation(model.ids), time_budget_s=0.0)
@@ -733,6 +742,62 @@ class TestKgapCutSets:
         assert reference.status == result.status == "optimal"
         assert result.objective == reference.objective
         assert_kgap_output(inst, result, 3)
+
+
+class TestGreedySwitch:
+    """Every exact search starts from the greedy switch of its incumbent:
+    adjacent swaps while one lowers the cost, so no adjacent pair of the
+    start order is cheaper the other way round."""
+
+    @staticmethod
+    def assert_switched(model, order):
+        index = {v: i for i, v in enumerate(model.ids)}
+        for u, v in pairwise(index[v] for v in order.order):
+            assert model.cost[v][u] >= model.cost[u][v]
+
+    @given(st.one_of(instances(), dummy_bottom_instances()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_switched_order(self, inst, data):
+        for ids in (inst.top_ids, inst.real_top_ids):
+            model = build_base_oscm_model(inst, ids)
+            before = Permutation(tuple(data.draw(st.permutations(ids))))
+            after = greedy_switch(model, before)
+            assert sorted(after.order) == sorted(ids)
+            self.assert_switched(model, after)
+            assert objective_value(model, after) <= objective_value(model, before)
+            assert greedy_switch(model, after) == after
+
+    @pytest.mark.parametrize(
+        "n, f_dm, deg, seed, k", [(12, "0.5", 2, 0, 3), (16, "0.2", 3, 3, 1), (12, "0.2", 3, 13, 2)]
+    )
+    def test_every_search_starts_switched(self, monkeypatch, n, f_dm, deg, seed, k):
+        """The real nodes' searches start from the switched median orders;
+        each cut set's search starts from a switched order that keeps its
+        segments in chain order."""
+        inst = gen(n, f_dm, deg, seed)
+        starts = []
+
+        def recorded(model, time_budget_s, initial, **kwargs):
+            starts.append((model, initial))
+            return search(model, time_budget_s, initial, **kwargs)
+
+        search = exact.solve_branch_and_bound
+        monkeypatch.setattr(exact, "solve_branch_and_bound", recorded)
+        solve_kgap_exact(inst, k)
+        (real_model, real_start), *cut_sets = starts
+        median = induced(solve_kgaps(inst, "median", k), inst.real_top_ids)
+        assert real_start == greedy_switch(real_model, median)
+        assert cut_sets, "no cut set was searched"
+        chain = reference_dummy_order(inst)
+        for _, initial in cut_sets:
+            segments = [v for v in initial.order if v in set(chain)]
+            assert segments == [v for v in chain if v in initial.order]
+        solve_sidegap_exact(inst)
+        side_model, side_start = starts[-1]
+        median = heuristic_order(inst, inst.real_top_ids, "median")
+        assert side_start == greedy_switch(side_model, median)
+        for model, initial in starts:
+            self.assert_switched(model, initial)
 
 
 class TestUnrestrictedReduction:
