@@ -1,7 +1,7 @@
 """Exact solvers: the ordering model, a branch-and-bound optimizer over
-permutation prefixes, and the exhaustive enumeration oracle
-`enumerate_optima` (at most 9 top nodes; `oscm-gaps oracle` runs it),
-which shares no search code with the branch and bound it checks.
+permutation prefixes, and the oracle `enumerate_optima`, which checks
+them by definition (at most 9 top nodes; `oscm-gaps oracle` runs it)
+and shares no search code with them.
 
 The model uses 0/1 ordering variables x_ij (v_i before v_j) with
 antisymmetry and transitivity, plus gap variables g_ij for consecutive
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, combinations, groupby, pairwise, permutations
 from math import inf
 from operator import add, getitem, sub
 from time import perf_counter
@@ -298,13 +298,16 @@ def solve_branch_and_bound(
 def enumerate_optima(
     inst: BipartiteInstance, ks: tuple[int, ...] = ()
 ) -> dict[object, tuple[tuple[int, ...], int]]:
-    """Walk every permutation of the top layer once, tracking the best
-    solution for the unrestricted, side-gap, and requested k-gap modes.
+    """The optima by definition: every permutation of the top layer,
+    priced pair by pair from `pairwise_crossings`, with its gaps read from
+    its runs of dummies. An order is side-gap when no dummy run lies
+    strictly inside it, and k-gap when it has at most k dummy runs.
 
     Returns mode -> (order, crossings) with modes "unrestricted",
-    "sidegap", and ("kgap", k), each k read by `as_k`. Ties resolve to
-    the lexicographically smallest id sequence. Guarded to at most 9 top
-    nodes.
+    "sidegap", and ("kgap", k), each k read by `as_k`. The permutations
+    come in lexicographic order and only a strict improvement replaces a
+    mode's best, so ties resolve to the lexicographically smallest id
+    sequence. Guarded to at most 9 top nodes.
     """
     ids = sorted(inst.top_ids)
     p = len(ids)
@@ -312,59 +315,26 @@ def enumerate_optima(
         raise InputError(
             f"oracle refuses {p} top nodes (limit {ORACLE_NODE_LIMIT}: factorial enumeration)"
         )
-    ks = tuple(map(as_k, ks))
     cost = pairwise_crossings(inst, ids)
     dummy = [inst.top_kind[v] == "dummy" for v in ids]
-
-    inf = inst.m * inst.m + 1
-    best: dict[object, list] = {"unrestricted": [inf, None], "sidegap": [inf, None]}
-    for k in ks:
-        best[("kgap", k)] = [inf, None]
-
-    placed = [False] * p
-    order: list[int] = []
-    add = [0] * p
-
-    def walk(acc: int, gaps: int, open_at_zero: bool, interior: int) -> None:
-        depth = len(order)
-        if depth == p:
-            if acc < best["unrestricted"][0]:
-                best["unrestricted"][:] = [acc, tuple(order)]
-            if interior == 0 and acc < best["sidegap"][0]:
-                best["sidegap"][:] = [acc, tuple(order)]
-            for k in ks:
-                if gaps <= k and acc < best[("kgap", k)][0]:
-                    best[("kgap", k)][:] = [acc, tuple(order)]
-            return
-        last_dummy = depth > 0 and dummy[order[-1]]
-        for u in range(p):
-            if placed[u]:
-                continue
-            if dummy[u]:
-                g2 = gaps if last_dummy else gaps + 1
-                z2 = open_at_zero if last_dummy else depth == 0
-                i2 = interior
-            else:
-                g2, z2 = gaps, False
-                i2 = interior + (1 if last_dummy and not open_at_zero else 0)
-            acc2 = acc + add[u]
-            placed[u] = True
-            order.append(u)
-            cu = cost[u]
-            for v in range(p):
-                if not placed[v]:
-                    add[v] += cu[v]
-            walk(acc2, g2, z2, i2)
-            for v in range(p):
-                if not placed[v]:
-                    add[v] -= cu[v]
-            order.pop()
-            placed[u] = False
-
-    walk(0, 0, False, 0)
-    return {
-        mode: (tuple(ids[u] for u in entry[1]), entry[0]) for mode, entry in best.items()
+    # each mode's test of an order's runs: one flag per run, True for dummies
+    fits: dict[object, Callable[[list[bool]], bool]] = {
+        "unrestricted": lambda runs: True,
+        "sidegap": lambda runs: True not in runs[1:-1],
     }
+    fits |= {("kgap", k): (lambda runs, k=k: sum(runs) <= k) for k in map(as_k, ks)}
+    best = dict.fromkeys(fits, ((), inf))
+    ceiling = inf  # the largest best: an order that reaches it improves no mode
+    for order in permutations(range(p)):
+        crossings = sum(cost[u][v] for u, v in combinations(order, 2))
+        if crossings >= ceiling:
+            continue
+        runs = [flag for flag, _ in groupby(dummy[u] for u in order)]
+        for mode, fit in fits.items():
+            if crossings < best[mode][1] and fit(runs):
+                best[mode] = (tuple(ids[u] for u in order), crossings)
+        ceiling = max(value for _, value in best.values())
+    return best
 
 
 # -- instance-level pipelines ------------------------------------------------

@@ -26,7 +26,7 @@ from oracles import (
 )
 from test_acceptance import PAPER_SCALE_OPTIMA
 
-from oscm_gaps import exact
+from oscm_gaps import exact, gap_placement, heuristics
 from oscm_gaps.cli import cli
 from oscm_gaps.core import (
     BipartiteInstance,
@@ -504,39 +504,72 @@ class TestOracle:
         with pytest.raises(InputError, match="k must be >= 1, got 0"):
             enumerate_optima(inst, ks=(0,))
 
+    @staticmethod
+    def assert_matches_itertools(inst, ks=(1, 2, 3)):
+        """Each mode's optimum, order and value, equals the itertools
+        enumeration filtered by the mode's own predicate."""
+        predicates = {
+            "unrestricted": None,
+            "sidegap": lambda o: is_side_gap_order(inst, o),
+            **{("kgap", k): (lambda o, k=k: len(gap_runs(inst, o)) <= k) for k in ks},
+        }
+        expected = {mode: best_by_enumeration(inst, predicate) for mode, predicate in predicates.items()}
+        assert list(enumerate_optima(inst, ks).items()) == list(expected.items())  # key order too
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_itertools_enumeration(self, seed):
-        inst = gen(6, 0.3, 2, seed)
-        optima = enumerate_optima(inst, ks=(2,))
-        order, value = best_by_enumeration(inst)
-        assert optima["unrestricted"] == (order, value)
-        side_order, side_value = best_by_enumeration(
-            inst, predicate=lambda o: is_side_gap_order(inst, o)
-        )
-        assert optima["sidegap"] == (side_order, side_value)
+        self.assert_matches_itertools(gen(6, 0.3, 2, seed))  # 1 top dummy
+        self.assert_matches_itertools(gen(7, "0.5", 2, seed))  # 3 top dummies
+
+    @given(st.one_of(instances(max_top=4), dummy_bottom_instances(max_top=3)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_itertools_on_random_instances(self, inst):
+        self.assert_matches_itertools(inst)
 
     def test_regression_fixture_seed7(self):
-        # frozen output of the enumeration oracle (n=6, f_dm=0.3, deg_avg=2, seed=7)
-        inst = gen(6, 0.3, 2, 7)
-        optima = enumerate_optima(inst, ks=(1, 2, 3))
-        results = {
-            "unrestricted": optima["unrestricted"][1],
-            "sidegap": optima["sidegap"][1],
-            "kgap1": optima[("kgap", 1)][1],
-            "kgap2": optima[("kgap", 2)][1],
-            "kgap3": optima[("kgap", 3)][1],
-        }
-        assert results == REGRESSION_SEED7
+        for (n, f_dm, deg_avg, seed), expected in REGRESSION_FIXTURES.items():
+            assert enumerate_optima(gen(n, f_dm, deg_avg, seed), ks=(1, 2, 3)) == expected
+
+    def test_shares_no_solver_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called solver code")
+
+        solver_code = [
+            "solve_branch_and_bound",
+            "greedy_switch",
+            "_cut_set_contraction",
+            "k_gap_merge",
+            "side_gap_merge",
+            "heuristic_order",
+        ]
+        # patched where defined and wherever imported by name
+        for module in (exact, gap_placement, heuristics):
+            for name in solver_code:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        params = (8, "0.5", 3, 9)
+        assert enumerate_optima(gen(*params), ks=(1, 2, 3)) == REGRESSION_FIXTURES[params]
 
 
-# Values produced once by enumerate_optima and frozen; see
-# test_regression_fixture_seed7.
-REGRESSION_SEED7 = {
-    "unrestricted": 8,
-    "sidegap": 8,
-    "kgap1": 8,
-    "kgap2": 8,
-    "kgap3": 8,
+# Output of enumerate_optima with ks (1, 2, 3), recorded once and frozen,
+# per generator input (n, f_dm, deg_avg, seed); see
+# test_regression_fixture_seed7. The first input's modes all agree; the
+# second's (4 top dummies) all differ in order.
+REGRESSION_FIXTURES = {
+    (6, 0.3, 2, 7): {
+        "unrestricted": ((11, 6, 10, 8, 7, 9), 8),
+        "sidegap": ((11, 6, 10, 8, 7, 9), 8),
+        ("kgap", 1): ((11, 6, 10, 8, 7, 9), 8),
+        ("kgap", 2): ((11, 6, 10, 8, 7, 9), 8),
+        ("kgap", 3): ((11, 6, 10, 8, 7, 9), 8),
+    },
+    (8, "0.5", 3, 9): {
+        "unrestricted": ((13, 10, 12, 8, 15, 11, 9, 14), 35),
+        "sidegap": ((13, 12, 15, 10, 8, 11, 9, 14), 37),
+        ("kgap", 1): ((10, 13, 12, 15, 14, 8, 11, 9), 41),
+        ("kgap", 2): ((13, 12, 10, 8, 11, 15, 14, 9), 36),
+        ("kgap", 3): ((13, 12, 10, 8, 15, 11, 9, 14), 35),
+    },
 }
 
 
