@@ -141,12 +141,8 @@ def export_model(model: OrderingModel) -> str:
 
 def objective_value(model: OrderingModel, permutation: Permutation) -> int:
     index = {v: i for i, v in enumerate(model.ids)}
-    order = [index[v] for v in permutation.order]
-    return sum(
-        model.cost[order[a]][order[b]]
-        for a in range(len(order))
-        for b in range(a + 1, len(order))
-    )
+    cost = model.cost
+    return sum(cost[u][v] for u, v in combinations([index[v] for v in permutation.order], 2))
 
 
 # -- branch and bound --------------------------------------------------------
@@ -446,47 +442,38 @@ def _cut_set_contraction(
     dummies' edges cross, so the model's root bound is the real pairs'
     part plus its floors.
 
-    Each row is kept with its chain columns as prefix sums, and the chain
-    rows as column-wise prefix sums, so every entry that involves a
-    segment is one difference."""
-    chain = model.chain
+    Two prefix tables over the chain hold, per chain prefix j and real
+    node x, x's cost before the first j dummies (`before[j][x]`) and
+    theirs before x (`after[j][x]`), so every entry between a real node
+    and a segment is one difference. Only a searched cut set reads the
+    entries between two segments, so `contract` sums those pair by
+    pair."""
+    cost, chain = model.cost, model.chain
     on_chain = set(chain)
     reals = [i for i in range(len(model.ids)) if i not in on_chain]
-    r = len(reals)
+    real_rows = [[cost[x][y] for y in reals] for x in reals]
 
-    order = reals + list(chain)
-    # the costs with rows and columns in `order`, by two transpositions
-    columns = list(zip(*[model.cost[i] for i in order]))
-    prefixed = [
-        [*row[:r], *accumulate(row[r:], initial=0)] for row in zip(*[columns[j] for j in order])
-    ]
-    rows = prefixed[:r]
-    chain_rows = list(
-        accumulate(
-            prefixed[r:],
-            lambda total, row: list(map(add, total, row)),
-            initial=[0] * (len(order) + 1),
-        )
-    )
-    # per chain prefix j: each real node's cost before the first j dummies,
-    # and theirs before it
-    real_first = [[row[r + j] for row in rows] for j in range(len(chain_rows))]
-    chain_first = [row[:r] for row in chain_rows]
-    real_ids = [model.ids[i] for i in reals]
+    def prefixes(rows) -> list[list[int]]:
+        zero = [0] * len(reals)
+        return list(accumulate(rows, lambda total, row: list(map(add, total, row)), initial=zero))
+
+    before = prefixes([cost[x][c] for x in reals] for c in chain)
+    after = prefixes([cost[c][x] for x in reals] for c in chain)
 
     def contract(bounds) -> OrderingModel:
-        segment_rows = [list(map(sub, chain_rows[b], chain_rows[a])) for a, b in bounds]
-        cost = tuple(
-            tuple(row[:r] + [row[r + b] - row[r + a] for a, b in bounds])
-            for row in rows + segment_rows
-        )
-        ids = tuple(real_ids + [model.ids[chain[a]] for a, _ in bounds])
-        return OrderingModel(ids, cost, (), None)
+        columns = [list(map(sub, before[b], before[a])) for a, b in bounds]
+        rows = [row + [column[x] for column in columns] for x, row in enumerate(real_rows)]
+        rows += [
+            list(map(sub, after[b], after[a]))
+            + [sum(cost[u][v] for u in chain[a:b] for v in chain[c:e]) for c, e in bounds]
+            for a, b in bounds
+        ]
+        ids = tuple(model.ids[i] for i in reals + [chain[a] for a, _ in bounds])
+        return OrderingModel(ids, tuple(map(tuple, rows)), (), None)
 
     @cache
     def floor(a: int, b: int) -> int:
-        before = map(sub, real_first[b], real_first[a])
-        return sum(map(min, before, map(sub, chain_first[b], chain_first[a])))
+        return sum(map(min, map(sub, before[b], before[a]), map(sub, after[b], after[a])))
 
     return contract, floor
 

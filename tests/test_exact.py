@@ -661,10 +661,12 @@ class TestKgapCutSets:
 
     @staticmethod
     def assert_contractions_match(model, cut_sets):
-        """The prefix-sum contraction of each cut set equals the per-entry
-        one, names included, and its root bound is the real nodes' root
-        bound plus the floors of its segments: no pair of segments adds
-        to it."""
+        """The contraction of each cut set, whose real-to-segment entries
+        are differences of two per-real prefix tables over the chain and
+        whose segment-to-segment entries are summed on demand, equals the
+        per-entry one, names included, and its root bound is the real
+        nodes' root bound plus the floors of its segments: no pair of
+        segments adds to it."""
         contract, floor = _cut_set_contraction(model)
         chain, d = model.chain, len(model.chain)
         reals = [i for i in range(len(model.ids)) if i not in set(chain)]
@@ -680,6 +682,22 @@ class TestKgapCutSets:
             assert contracted.ids == tuple(model.ids[g[0]] for g in groups)
             assert contracted.chain == ()
 
+    @staticmethod
+    def assert_floors_match(model):
+        """Every segment a:b of the chain, 0 <= a < b <= d, has as floor the
+        sum over real i of min(c_i,S, c_S,i), each entry summed over the
+        segment's dummies."""
+        _, floor = _cut_set_contraction(model)
+        chain, cost = model.chain, model.cost
+        reals = [i for i in range(len(model.ids)) if i not in set(chain)]
+        for a, b in combinations(range(len(chain) + 1), 2):
+            segment = chain[a:b]
+            expected = sum(
+                min(sum(cost[i][s] for s in segment), sum(cost[s][i] for s in segment))
+                for i in reals
+            )
+            assert floor(a, b) == expected, (a, b)
+
     @given(st.one_of(instances(), dummy_bottom_instances()))
     @settings(max_examples=60, deadline=None)
     def test_contraction_matches_per_entry_sums(self, inst):
@@ -688,11 +706,29 @@ class TestKgapCutSets:
             d = len(model.chain)
             cut_sets = combinations(range(1, d), min(k, d) - 1) if d else [()]
             self.assert_contractions_match(model, cut_sets)
+            self.assert_floors_match(model)
 
     def test_contraction_matches_per_entry_sums_at_n60(self):
         model = build_kgap_model(gen(60, "0.5", 3, 1), 5)
         assert len(model.chain) == 30
-        self.assert_contractions_match(model, islice(combinations(range(1, 30), 4), 200))
+        # every 119th of the C(29, 4) = 23,751 cut sets: 200, reaching 318 segments
+        cut_sets = islice(combinations(range(1, 30), 4), 0, None, 119)
+        self.assert_contractions_match(model, cut_sets)
+
+    def test_floors_match_per_entry_sums_at_n60(self):
+        model = build_kgap_model(gen(60, "0.5", 3, 1), 5)
+        assert len(model.chain) == 30  # 465 segments
+        self.assert_floors_match(model)
+
+    @given(st.one_of(instances(), dummy_bottom_instances()), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_real_nodes_read_the_base_model(self, inst, k):
+        """With no segment the contraction is the base model of the real
+        nodes, so the k-gap real-node search and the side-gap search read
+        one model."""
+        real = _cut_set_contraction(build_kgap_model(inst, k))[0]([])
+        base = build_base_oscm_model(inst, inst.real_top_ids)
+        assert (real.ids, real.cost) == (base.ids, base.cost)
 
     @pytest.mark.parametrize("seed, optimum", [(1, 1286), (2, 1166), (3, 1264)])
     def test_paper_scale_one_gap(self, seed, optimum):
