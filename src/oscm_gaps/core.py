@@ -80,22 +80,8 @@ class Permutation:
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
 
-    def __iter__(self):
-        return iter(self.order)
-
     def __len__(self) -> int:
         return len(self.order)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.position
-
-
-def concatenate(*parts: Sequence[int] | Permutation) -> Permutation:
-    """Concatenate disjoint orders into one permutation."""
-    order: list[int] = []
-    for part in parts:
-        order.extend(part.order if isinstance(part, Permutation) else part)
-    return Permutation(tuple(order))
 
 
 @dataclass(frozen=True)

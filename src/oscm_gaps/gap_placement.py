@@ -18,7 +18,8 @@ passes of length r. The DP builds layers
 column, and at k = 1 that column comes from the boundary totals s_i[d]
 without any cost row. The backtrack re-derives each step from the dp
 rows with a fixed tie rule: advancing to boundary i-1 wins ties, else
-the smallest split j' reaching the minimum.
+the smallest split j' reaching the minimum. It inserts each dummy block
+into the real order at its boundary as it finds it, last block first.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from operator import sub
 
-from .core import BipartiteInstance, InputError, Permutation, as_k, concatenate
+from .core import BipartiteInstance, InputError, Permutation, as_k
 from .heuristics import HeuristicKind, heuristic_order
 
 
@@ -60,8 +61,8 @@ def side_gap_merge(inst: BipartiteInstance, real_order: Permutation) -> Permutat
         return before[q] >= total - before[q + 1]
 
     split = bisect_left(chain, True, key=goes_right)
-    dummies = [d for _, d in chain]
-    return concatenate(dummies[:split], real_order, dummies[split:])
+    dummies = tuple(d for _, d in chain)
+    return Permutation(dummies[:split] + real_order.order + dummies[split:])
 
 
 def block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
@@ -190,14 +191,14 @@ def k_gap_merge(
     Only the last block's boundary reads the top layer, at column j = d,
     so that layer is one column: min(dp[k-1][i] - s_i) + s_i[d] per
     boundary i. At one gap its terms are the `boundary_totals`, and no
-    cost row is built."""
+    cost row is built. The backtrack inserts each dummy block into a copy
+    of the real order at its boundary as it finds it."""
     k = as_k(k)
     _check_real_order(inst, real_order)
     dummies = [d for _, d in inst.dummy_chain]
-    n_real, n_dummy = len(real_order), len(dummies)
     # more gaps than dummies never help; with no dummy, one gap holds the
     # empty block
-    k = max(1, min(k, n_dummy))
+    k = max(1, min(k, len(dummies)))
     if k > 1:
         costs = block_cost_tables(inst, real_order)
         dp = merge_dp(costs, k - 1)
@@ -208,14 +209,18 @@ def k_gap_merge(
     # ties stops at the earliest boundary that reaches the minimum
     mixed = min(column)
     i = column.index(mixed)
-    boundary = [i] * n_dummy
     g, j = k - 1, 0
     if g:  # the last block starts at the smallest split reaching the minimum
         s_i = costs[i]
         j = list(map(sub, dp[-1][i], s_i)).index(mixed - s_i[-1])
+    merged = list(real_order.order)
+    merged[i:i] = dummies[j:]
 
     # Re-derive each step from the dp rows: advancing to boundary i-1 wins
-    # ties, else the smallest split j' that reaches the minimum.
+    # ties, else the smallest split j' that reaches the minimum. Blocks are
+    # found last to first at nonincreasing boundaries, so index i of
+    # `merged` lies just after the first i real nodes, ahead of every
+    # block inserted so far.
     while j:
         layer = dp[g - 1]
         value = layer[i][j]
@@ -224,17 +229,8 @@ def k_gap_merge(
             continue
         s_i = costs[i]
         split = list(map(sub, dp[g - 2][i], s_i)).index(value - s_i[j]) if g > 1 else 0
-        boundary[split:j] = [i] * (j - split)
+        merged[i:i] = dummies[split:j]
         g, j = g - 1, split
-
-    merged: list[int] = []
-    t = 0
-    for b in range(n_real + 1):
-        while t < n_dummy and boundary[t] == b:
-            merged.append(dummies[t])
-            t += 1
-        if b < n_real:
-            merged.append(real_order.order[b])
     return Permutation(tuple(merged)), mixed
 
 

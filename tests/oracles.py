@@ -148,6 +148,23 @@ def solve_exported_ilp(text: str) -> tuple[int, tuple[int, ...]]:
     return round(result.fun), tuple(order)
 
 
+def solve_sidegap_ilp(inst: BipartiteInstance, text: str) -> tuple[int, tuple[int, ...]]:
+    """Solve the exported plain-OSCM ILP `text` over all top nodes with
+    side gaps imposed by one row per top dummy d and ordered pair of
+    distinct real top nodes (r, r'): x_r_d + x_d_r' <= 1, so no dummy
+    lies strictly between two real nodes. Returns what
+    `solve_exported_ilp` returns."""
+    payload = json.loads(text)
+    payload["constraints"] += [
+        {"terms": [{"var": f"x_{r}_{d}", "coef": 1}, {"var": f"x_{d}_{s}", "coef": 1}], "op": "<=", "rhs": 1}
+        for d in inst.dummy_top_ids
+        for r in inst.real_top_ids
+        for s in inst.real_top_ids
+        if r != s
+    ]
+    return solve_exported_ilp(json.dumps(payload))
+
+
 def gap_runs(inst: BipartiteInstance, order: tuple[int, ...]) -> list[tuple[int, int]]:
     kind = inst.top_kind
     runs = []

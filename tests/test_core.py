@@ -21,7 +21,6 @@ from oscm_gaps.core import (
     InputError,
     Node,
     Permutation,
-    concatenate,
     count_crossings,
     count_gaps,
     instance_from_json,
@@ -192,7 +191,7 @@ class TestPermutation:
         pi = Permutation((3, 1, 2))
         assert pi.position[1] == 1
         assert precedes(pi, 3, 2)
-        assert 9 not in pi
+        assert 9 not in pi.position
 
     def test_induced_examples(self):
         assert induced(Permutation((1, 2, 3)), {1, 3}).order == (1, 3)
@@ -207,9 +206,6 @@ class TestPermutation:
         for i, x in enumerate(sub.order):
             for y in sub.order[i + 1 :]:
                 assert precedes(pi, x, y)
-
-    def test_concatenate(self):
-        assert concatenate((1, 2), Permutation((3,)), ()).order == (1, 2, 3)
 
 
 class TestCountCrossings:

@@ -23,6 +23,7 @@ from oracles import (
     reference_contraction,
     reference_dummy_order,
     solve_exported_ilp,
+    solve_sidegap_ilp,
 )
 from test_acceptance import PAPER_SCALE_OPTIMA
 
@@ -415,9 +416,21 @@ def assert_ilp_optimum(inst, model, expected):
         assert len(gap_runs(inst, order)) <= model.gap_budget + 1
 
 
+def assert_sidegap_ilp_optimum(inst, expected):
+    """The exported plain-OSCM model over all top nodes, with side gaps
+    imposed by `solve_sidegap_ilp`, has the optimum `expected`, and its
+    solution decodes to a side-gap order of that many crossings."""
+    value, order = solve_sidegap_ilp(inst, export_model(build_base_oscm_model(inst, inst.top_ids)))
+    assert value == expected
+    assert sorted(order) == sorted(inst.top_ids)
+    assert naive_crossings(inst, Permutation(order)) == value
+    assert is_side_gap_order(inst, order)
+
+
 class TestExportedILP:
     """The exported ILP, solved by scipy's MILP solver (HiGHS), proves the
-    optima of the enumeration oracle and of the branch and bound."""
+    optima of the enumeration oracle and of the branch and bound, and with
+    side-gap rows added, those of the side-gap solver."""
 
     @pytest.fixture(autouse=True)
     def _scipy(self):
@@ -445,6 +458,26 @@ class TestExportedILP:
             result = solve_kgap_exact(inst, k)
             assert result.status == "optimal"
             assert_ilp_optimum(inst, build_kgap_model(inst, k), result.objective)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("f_dm", ["0", "0.25", "0.5", "1"])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_sidegap_matches_enumeration(self, n, f_dm, seed):
+        inst = gen(n, f_dm, 2, seed)
+        assert_sidegap_ilp_optimum(inst, enumerate_optima(inst)["sidegap"][1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_sidegap_matches_branch_and_bound(self, n, seed):
+        inst = gen(n, "0.2", 3, seed)
+        result = solve_sidegap_exact(inst)
+        assert result.status == "optimal"
+        assert_sidegap_ilp_optimum(inst, result.objective)
+
+    def test_sidegap_paper_scale(self):
+        inst = gen(40, "0.2", 3, 1)
+        optimum = PAPER_SCALE_OPTIMA["experiment_sidegaps_vs_2gaps"][(40, 1, "exact_sidegaps")]
+        assert_sidegap_ilp_optimum(inst, optimum)
 
     @pytest.mark.parametrize("seed, k", [(1, 1), (1, 2), (2, 2)])
     def test_paper_scale(self, seed, k):
@@ -596,6 +629,17 @@ class TestTimeout:
         assert (result.status, result.nodes_explored) == ("timeout_incumbent", 0)
         assert result.permutation == heuristic
         assert result.objective == count_crossings(inst, heuristic)
+
+    @given(st.one_of(instances(), dummy_bottom_instances()), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_budget_contract(self, inst, k):
+        # budget 0 explores no node and proves nothing unless there is
+        # nothing to order, yet never does worse than the median k-gap order
+        result = solve_kgap_exact(inst, k, 0.0)
+        assert result.nodes_explored == 0
+        assert_kgap_output(inst, result, k)
+        assert result.status == "timeout_incumbent" or not inst.top_ids
+        assert result.objective <= count_crossings(inst, solve_kgaps(inst, "median", k))
 
     def test_many_cut_sets_stop_at_the_deadline(self):
         inst = gen(60, "0.5", 3, 1)
