@@ -4,21 +4,15 @@ Dummy nodes always appear in the canonical order of
 `BipartiteInstance.dummy_chain` (sorted by their neighbor's bottom
 position), under which no two dummy edges cross. The side-gap merge
 splits that order into a left and a right block around the real nodes;
-the k-gap merge places it into at most k blocks by a dynamic program over
-(gaps used, real prefix, dummy prefix).
+the k-gap merge places it into at most k blocks by a dynamic program
+that walks the chain one dummy at a time, over the real boundaries.
 
-With s_i[j] the summed cost of the first j dummies at real boundary i,
-the block term min_{j'<=j}(dp[g-1][i][j'] + s_i[j] - s_i[j']) is a
-running prefix minimum of dp[g-1][i] - s_i, so the merge takes
-O(k·r·d) time for r real and d dummy nodes. The rows s_i come from one
-running sum per dummy, swept up the chain over the real edges: O(E + b)
-Python steps for E real edges and b bottom positions, plus d C-level
-passes of length r. The DP builds layers
-1..k-1 in full; the top layer is read only at j = d, so it is one
-column, and at k = 1 that column comes from the boundary totals s_i[d]
-without any cost row. The backtrack re-derives each step from the dp
-rows with a fixed tie rule: advancing to boundary i-1 wins ties, else
-the smallest split j' reaching the minimum. It inserts each dummy block
+Each dummy's placement cost over the r + 1 real boundaries is one
+column (`block_cost_columns`). Layer g of the DP holds one row per dummy,
+each built in one Python pass over the boundaries, so the merge takes
+O(k·r·d) time for d dummy nodes. The backtrack walks the chain down with
+a fixed tie rule: each block goes at the earliest boundary that reaches
+its minimum, then takes the smallest split. It inserts each dummy block
 into the real order at its boundary as it finds it, last block first.
 """
 
@@ -26,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from operator import sub
+from operator import add
 
 from .core import BipartiteInstance, InputError, Permutation, as_k
 from .heuristics import HeuristicKind, heuristic_order
@@ -65,12 +59,11 @@ def side_gap_merge(inst: BipartiteInstance, real_order: Permutation) -> Permutat
     return Permutation(dummies[:split] + real_order.order + dummies[split:])
 
 
-def block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
-    """Prefix-summed placement costs for dummy blocks, one row per real
-    boundary: rows[i][j] sums, over the first j dummies of the canonical
-    chain, the cost of sitting after the first i real nodes and before
-    the rest; the cost of block (j'+1..j) at real boundary i is
-    rows[i][j] - rows[i][j']. With no dummy it is r + 1 rows of [0].
+def block_cost_columns(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
+    """Placement costs of single dummies, one column per dummy of the
+    canonical chain: columns[t][i] is the cost of the t-th dummy sitting
+    after the first i real nodes and before the rest. Dummies that share
+    a neighbor share one column list. With no dummy it is [].
 
     A dummy with neighbor position q at boundary 0 crosses every
     real-incident edge left of q. Moving the i-th real node from after
@@ -80,8 +73,7 @@ def block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[
     the degrees (q = -1) and loses 1 per edge when q reaches the edge's
     position and 1 more when q passes it. That is O(E + b) Python steps
     for E real edges and b bottom positions, plus d C-level passes of
-    length r for the columns and r + 1 of length d for the rows.
-    Edge-less dummies (q < 0) cross nothing anywhere."""
+    length r. Edge-less dummies (q < 0) cross nothing anywhere."""
     neigh = inst.neighbor_positions
     left = inst.real_edges_before
     reals = real_order.order
@@ -92,8 +84,7 @@ def block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[
             at[p].append(i)
 
     columns = []
-    zero = [0] * (len(reals) + 1)
-    column = zero
+    column = [0] * (len(reals) + 1)
     q = -1
     for qt, _ in inst.dummy_chain:
         if qt > q:
@@ -108,56 +99,42 @@ def block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[
             q = qt
             column = list(accumulate(w, initial=left[qt]))
         columns.append(column)
-    if not columns:
-        return [[0] for _ in zero]
-    return [list(accumulate(row, initial=0)) for row in zip(*columns)]
+    return columns
 
 
-def _rowwise_min(above: list[int], row: list[int]) -> list[int]:
-    return [a if a < b else b for a, b in zip(above, row)]
-
-
-def merge_dp(costs: list[list[int]], k: int) -> list[list[list[int]]]:
-    """Merge DP over the `block_cost_tables` rows `costs`, one layer per
-    gap budget g = 1..k (layer g at index g - 1), each built in full:
-    dp[g][i][j] is the minimum mixed crossing count when the first j
-    dummies sit in at most g gaps at real boundaries <= i. At k = 0 it
-    returns no layer.
-
-    dp[g][i] = min(dp[g][i-1], prefmin_j(dp[g-1][i] - s_i) + s_i),
-    elementwise, with s_i = costs[i]: O(k·r·d) for r real and d dummy
-    nodes. With no gap only j = 0 is reachable, so the one-gap block
-    term is s_i itself.
-    """
+def merge_layers(columns: list[list[int]], k: int) -> list[list[list[int]]]:
+    """The merge table V_1..V_k of `k_gap_merge` over the
+    `block_cost_columns` `columns`, for k up to the number d of dummies:
+    layer g - 1 holds V_g[t] for t = 0..d-1, a row over the r + 1 real
+    boundaries. V_1 sums the columns; each row of a higher layer is one
+    Python pass keeping the running prefix minimum of V_{g-1}[t-1], and
+    rows of dummies that fit in fewer blocks are shared with the layer
+    below. At k = 0 it returns no layer. O(k·r·d) for r real and d dummy
+    nodes."""
     if k < 1:
         return []
-    dp = [list(accumulate(costs, _rowwise_min))]
-    for _ in range(1, k):
-        prev_layer = dp[-1]
-        # the split j' = j keeps every block term <= dp[g-1][i], so taking
-        # the minimum with dp[g-1][0] leaves row 0 exact
-        above = prev_layer[0]
-        layer = []
-        for prev_i, s_i in zip(prev_layer, costs):
-            # the C-level form, accumulate(map(sub, prev_i, s_i), min) and two
-            # maps, measured 2.5-4x slower than this loop
-            run = 0  # prev_i[0] - s_i[0]
-            row = []
-            for p, c, a in zip(prev_i, s_i, above):
-                x = p - c
-                if x < run:
-                    run = x
-                x = run + c
-                row.append(a if a < x else x)
+    layers = [list(accumulate(columns, lambda v, c: list(map(add, v, c))))]
+    for g in range(2, k + 1):
+        below = layers[-1]
+        layer = below[: g - 1]
+        row = layer[-1]
+        for t in range(g - 1, len(columns)):
+            opened = below[t - 1]
+            run = opened[0]
+            new = []
+            for same, b, c in zip(row, opened, columns[t]):
+                if b < run:
+                    run = b
+                new.append((same if same < run else run) + c)
+            row = new
             layer.append(row)
-            above = row
-        dp.append(layer)
-    return dp
+        layers.append(layer)
+    return layers
 
 
 def boundary_totals(inst: BipartiteInstance, real_order: Permutation) -> list[int]:
     """Entry i is the mixed cost of all dummies in one block after the
-    first i real nodes: the last column of `block_cost_tables`, from the
+    first i real nodes: the sum of the `block_cost_columns` at i, from the
     real nodes' edges alone in O(E + b) for E real edges and b bottom
     positions.
 
@@ -188,49 +165,49 @@ def k_gap_merge(
     edge pairs. Returns the merged permutation and that mixed cost; k is
     read by `as_k`.
 
-    Only the last block's boundary reads the top layer, at column j = d,
-    so that layer is one column: min(dp[k-1][i] - s_i) + s_i[d] per
-    boundary i. At one gap its terms are the `boundary_totals`, and no
-    cost row is built. The backtrack inserts each dummy block into a copy
-    of the real order at its boundary as it finds it."""
+    V_g[t][i], the least mixed cost of chain dummies 0..t in at most g
+    blocks with dummy t at real boundary i, is c_t(i) plus the smaller of
+    V_g[t-1][i] (dummy t joins the block of dummy t-1) and the prefix
+    minimum of V_{g-1}[t-1] up to i (it opens a block), over the
+    `block_cost_columns` c_t. V_1 sums the columns, and V_g[t] is
+    V_{t+1}[t] once g > t + 1. The mixed cost is min(V_k[d-1]); at one
+    gap that row is the `boundary_totals`, and no column is built."""
     k = as_k(k)
     _check_real_order(inst, real_order)
     dummies = [d for _, d in inst.dummy_chain]
     # more gaps than dummies never help; with no dummy, one gap holds the
     # empty block
     k = max(1, min(k, len(dummies)))
-    if k > 1:
-        costs = block_cost_tables(inst, real_order)
-        dp = merge_dp(costs, k - 1)
-        column = [min(map(sub, p, s)) + s[-1] for p, s in zip(dp[-1], costs)]
-    else:
-        column = boundary_totals(inst, real_order)
-    # the top layer is the running minimum of `column`; its walk down the
-    # ties stops at the earliest boundary that reaches the minimum
-    mixed = min(column)
-    i = column.index(mixed)
-    g, j = k - 1, 0
-    if g:  # the last block starts at the smallest split reaching the minimum
-        s_i = costs[i]
-        j = list(map(sub, dp[-1][i], s_i)).index(mixed - s_i[-1])
     merged = list(real_order.order)
-    merged[i:i] = dummies[j:]
+    if k == 1:
+        totals = boundary_totals(inst, real_order)
+        mixed = min(totals)
+        i = totals.index(mixed)
+        merged[i:i] = dummies
+        return Permutation(tuple(merged)), mixed
 
-    # Re-derive each step from the dp rows: advancing to boundary i-1 wins
-    # ties, else the smallest split j' that reaches the minimum. Blocks are
-    # found last to first at nonincreasing boundaries, so index i of
-    # `merged` lies just after the first i real nodes, ahead of every
+    columns = block_cost_columns(inst, real_order)
+    layers = merge_layers(columns, k)
+    # the last block goes at the earliest boundary reaching the minimum
+    row = layers[-1][-1]
+    mixed = min(row)
+    i = row.index(mixed)
+
+    # Walk the chain down from the last dummy. Dummy t-1 stays in the
+    # block of dummy t while V_g[t-1][i] + c_t(i) == V_g[t][i] (the
+    # smallest split); otherwise the block from t is inserted at i and the
+    # one before ends at the earliest boundary reaching the prefix minimum.
+    # Blocks are found last to first at nonincreasing boundaries, so index
+    # i of `merged` lies just after the first i real nodes, ahead of every
     # block inserted so far.
-    while j:
-        layer = dp[g - 1]
-        value = layer[i][j]
-        if i and layer[i - 1][j] == value:
-            i -= 1
-            continue
-        s_i = costs[i]
-        split = list(map(sub, dp[g - 2][i], s_i)).index(value - s_i[j]) if g > 1 else 0
-        merged[i:i] = dummies[split:j]
-        g, j = g - 1, split
+    g, end, value = k, len(dummies), mixed
+    for t in range(len(dummies) - 1, 0, -1):
+        value -= columns[t][i]
+        if value != layers[g - 1][t - 1][i]:
+            merged[i:i] = dummies[t:end]
+            g, end = g - 1, t
+            i = layers[g - 1][t - 1].index(value)
+    merged[i:i] = dummies[:end]
     return Permutation(tuple(merged)), mixed
 
 

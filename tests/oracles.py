@@ -287,10 +287,12 @@ def reference_dummy_order(inst: BipartiteInstance) -> tuple[int, ...]:
 
 
 def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: int):
-    """The O(k·r·d²) k-gap merge DP with its tagged backtrack, kept as the
-    reference for the library's prefix-minimum merge (r real, d dummy
-    nodes). Same tie rule: advancing to boundary i-1 wins ties, else the
-    smallest split j' reaching the minimum. Returns (permutation, mixed)."""
+    """The O(k·r·d²) k-gap merge DP over (gaps, real prefix, dummy prefix)
+    with its tagged backtrack, kept as the reference for the library's
+    merge, which walks the dummy chain one dummy at a time (r real, d
+    dummy nodes). Same tie rule: advancing to boundary i-1 wins ties,
+    else the smallest split j' reaching the minimum. Returns
+    (permutation, mixed)."""
     chain = reference_dummy_chain(inst)
     dummies = [d for _, d in chain]
     reals = real_order.order
@@ -353,11 +355,13 @@ def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: i
 
 
 def reference_block_cost_tables(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
-    """`gap_placement.block_cost_tables` as it was before the running-sum
-    sweep: for each real node r in turn, every dummy's cost at the next
-    boundary adds r's edges strictly right of the dummy's neighbor and
-    drops those strictly left, found by two bisections per (real node,
-    dummy) pair. Kept as the reference for the library's tables."""
+    """Prefix-summed placement costs, one row per real boundary: rows[i][j]
+    sums the costs of the first j dummies of the chain at boundary i. For
+    each real node r in turn, every dummy's cost at the next boundary adds
+    r's edges strictly right of the dummy's neighbor and drops those
+    strictly left, found by two bisections per (real node, dummy) pair.
+    The differences of its rows are the reference for the library's
+    `gap_placement.block_cost_columns`."""
     neigh = inst.neighbor_positions
     q = [qt for qt, _ in inst.dummy_chain]
     left = inst.real_edges_before
@@ -372,6 +376,13 @@ def reference_block_cost_tables(inst: BipartiteInstance, real_order: Permutation
         ]
         rows.append(list(accumulate(cost, initial=0)))
     return rows
+
+
+def reference_block_cost_columns(inst: BipartiteInstance, real_order: Permutation) -> list[list[int]]:
+    """`reference_block_cost_tables` as one column per dummy: column t at
+    boundary i is rows[i][t + 1] - rows[i][t]."""
+    rows = reference_block_cost_tables(inst, real_order)
+    return [[row[t + 1] - row[t] for row in rows] for t in range(len(rows[0]) - 1)]
 
 
 def reference_contraction(model: OrderingModel, segments: list[tuple[int, ...]]):

@@ -12,6 +12,7 @@ from oracles import (
     naive_block_crossings,
     naive_mixed_crossings,
     naive_pair_crossings,
+    reference_block_cost_columns,
     reference_block_cost_tables,
     reference_dummy_order,
     reference_k_gap_merge,
@@ -24,10 +25,10 @@ from oscm_gaps.core import (
     count_gaps,
 )
 from oscm_gaps.gap_placement import (
-    block_cost_tables,
+    block_cost_columns,
     boundary_totals,
     k_gap_merge,
-    merge_dp,
+    merge_layers,
     side_gap_merge,
     solve_kgaps,
     solve_sidegaps,
@@ -123,46 +124,56 @@ class TestSideGapMerge:
 class TestBlockCostTables:
     @pytest.mark.parametrize("seed", range(10))
     def test_prefix_differences_match_block_crossings(self, seed):
+        # each column against one dummy's crossings, and the differences of
+        # V_1, the running sums of the columns, against whole blocks
         inst = gen(7, 0.4, 2, seed)
         real_order = real_order_of(inst)
-        rows = block_cost_tables(inst, real_order)
+        columns = block_cost_columns(inst, real_order)
+        (sums,) = merge_layers(columns, 1)
         reals, dummies = real_order.order, reference_dummy_order(inst)
+        assert len(columns) == len(dummies)
         for i in range(len(reals) + 1):
+            def cost(block):
+                return naive_block_crossings(inst, reals[:i], block) + naive_block_crossings(
+                    inst, block, reals[i:]
+                )
+
+            for t, d in enumerate(dummies):
+                assert columns[t][i] == cost([d])
+            prefix = [0] + [row[i] for row in sums]
             for jp in range(len(dummies) + 1):
                 for j in range(jp, len(dummies) + 1):
-                    block = list(dummies[jp:j])
-                    expected = naive_block_crossings(
-                        inst, reals[:i], block
-                    ) + naive_block_crossings(inst, block, reals[i:])
-                    assert rows[i][j] - rows[i][jp] == expected
+                    assert prefix[j] - prefix[jp] == cost(list(dummies[jp:j]))
 
     @pytest.mark.parametrize(
         "bottom, top, edges, real_order, expected",
         [
             # dummy 103 has no edge: a zero column at every boundary
             ("ddd", "rrdd", [(0, 100), (1, 101), (2, 102)], (100, 101),
-             [[0, 0, 2], [0, 0, 1], [0, 0, 0]]),
+             [[0, 0, 0], [2, 1, 0]]),
             # dummies 102 and 103 share the neighbor 0: equal columns
             ("rr", "rrdd", [(0, 100), (1, 101), (0, 102), (0, 103)], (100, 101),
-             [[0, 0, 0], [0, 0, 0], [0, 1, 2]]),
-            ("rr", "rr", [(0, 100), (1, 101)], (101, 100), [[0], [0], [0]]),  # no dummy
-            ("rr", "dd", [(0, 100), (1, 101)], (), [[0, 0, 0]]),  # no real node
+             [[0, 0, 1], [0, 0, 1]]),
+            ("rr", "rr", [(0, 100), (1, 101)], (101, 100), []),  # no dummy
+            ("rr", "dd", [(0, 100), (1, 101)], (), [[0], [0]]),  # no real node
         ],
         ids=["edge_less_dummy", "shared_neighbor", "no_dummy", "no_real"],
     )
     def test_degenerate_tables(self, bottom, top, edges, real_order, expected):
         inst = mk_instance(bottom, top, edges)
         order = Permutation(real_order)
-        assert block_cost_tables(inst, order) == expected
-        assert reference_block_cost_tables(inst, order) == expected
+        assert block_cost_columns(inst, order) == expected
+        assert reference_block_cost_columns(inst, order) == expected
 
     @pytest.mark.parametrize("n,f_dm,seed", [(7, 0.4, 1), (16, 0.2, 2), (200, 0.2, 1), (200, 0.8, 2)])
     def test_boundary_totals_are_the_last_column(self, n, f_dm, seed):
+        # the reference tables' last column: the per-boundary sum of the columns
         inst = gen(n, f_dm, 3, seed)
         for kind in ("median", "barycenter"):
             real_order = real_order_of(inst, kind)
-            rows = block_cost_tables(inst, real_order)
-            assert boundary_totals(inst, real_order) == [row[-1] for row in rows]
+            totals = boundary_totals(inst, real_order)
+            assert totals == [row[-1] for row in reference_block_cost_tables(inst, real_order)]
+            assert totals == list(map(sum, zip(*block_cost_columns(inst, real_order))))
 
     # shuffled real orders of arbitrary instances reach edge-less dummies,
     # dummies that share a neighbor, no dummy and no real node
@@ -170,56 +181,68 @@ class TestBlockCostTables:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_tables(self, inst, data):
         real_order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
-        assert block_cost_tables(inst, real_order) == reference_block_cost_tables(inst, real_order)
+        expected = reference_block_cost_columns(inst, real_order)
+        assert block_cost_columns(inst, real_order) == expected
 
-    # the one-gap merge reads these totals instead of the tables
+    # the one-gap merge reads these totals instead of the columns
     @given(inst=st.one_of(instances(), dummy_bottom_instances()), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_boundary_totals_on_arbitrary_instances(self, inst, data):
         real_order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
-        rows = block_cost_tables(inst, real_order)
-        assert boundary_totals(inst, real_order) == [row[-1] for row in rows]
+        columns = block_cost_columns(inst, real_order)
+        totals = [sum(column[i] for column in columns) for i in range(len(real_order) + 1)]
+        assert boundary_totals(inst, real_order) == totals
 
 
 class TestMergeTable:
     def test_base_cases_and_monotone_in_g(self):
         inst = gen(8, 0.5, 2, 4)
         real_order = real_order_of(inst)
-        costs = block_cost_tables(inst, real_order)
-        dp = merge_dp(costs, 3)
-        n_real = len(real_order)
+        columns = block_cost_columns(inst, real_order)
+        V = merge_layers(columns, 3)
+        bounds = range(len(real_order) + 1)
         n_dummy = len(inst.dummy_top_ids)
-        assert len(dp) == 3 and n_dummy >= 3
-        for i in range(n_real + 1):
-            for layer in dp:
-                assert layer[i][0] == 0
-            # from the no-gap base row (only j = 0 reachable), one gap holds
-            # one block at the best boundary so far
-            for j in range(1, n_dummy + 1):
-                assert dp[0][i][j] == min(costs[b][j] for b in range(i + 1))
-        for g in range(1, len(dp)):
-            for i in range(n_real + 1):
-                for j in range(n_dummy + 1):
-                    assert dp[g][i][j] <= dp[g - 1][i][j]
+        assert len(V) == 3 and n_dummy >= 3
+        for layer in V:
+            assert len(layer) == n_dummy
+            assert layer[0] == columns[0]  # one dummy sits at its own cost
+        # one gap holds one block: the running sums of the columns
+        for t in range(n_dummy):
+            assert V[0][t] == [sum(column[i] for column in columns[: t + 1]) for i in bounds]
+        # by definition: the last block s..t at boundary i, the dummies
+        # before it in one gap fewer at boundaries <= i
+        for g in range(1, len(V)):
+            for t in range(n_dummy):
+                for i in bounds:
+                    expected = min(
+                        (min(V[g - 1][s - 1][: i + 1]) if s else 0)
+                        + sum(column[i] for column in columns[s : t + 1])
+                        for s in range(t + 1)
+                    )
+                    assert V[g][t][i] == expected
+                    assert V[g][t][i] <= V[g - 1][t][i]
+                    if t < g:  # dummies 0..t fit in fewer blocks
+                        assert V[g][t][i] == V[t][t][i]
 
     def test_no_layer_at_zero_gaps(self):
         inst = gen(8, 0.5, 2, 4)
-        costs = block_cost_tables(inst, real_order_of(inst))
-        assert merge_dp(costs, 0) == []
+        columns = block_cost_columns(inst, real_order_of(inst))
+        assert merge_layers(columns, 0) == []
 
     @pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (200, 1)])
     @pytest.mark.parametrize("kind", ["median", "barycenter"])
-    def test_top_column_is_the_full_layer_corner(self, n, seed, kind):
-        # k_gap_merge builds only the top layer's last column (or, at one
-        # gap, the boundary totals); its minimum is the full layer's corner
+    def test_top_row_is_the_full_layer_minimum(self, n, seed, kind):
+        # one table built for five gaps holds every smaller budget's optimum
+        # in the last row of its layer (at one gap the merge reads the
+        # boundary totals instead), and budgets above d read layer d
         inst = gen(n, "0.2", 3, seed)
         real_order = real_order_of(inst, kind)
-        costs = block_cost_tables(inst, real_order)
-        r, d = len(real_order), len(inst.dummy_top_ids)
+        d = len(inst.dummy_top_ids)
         assert d >= 3
+        V = merge_layers(block_cost_columns(inst, real_order), min(5, d))
         for k in range(1, 6):
             _, mixed = k_gap_merge(inst, real_order, k)
-            assert mixed == merge_dp(costs, k)[-1][r][d]
+            assert mixed == min(V[min(k, d) - 1][d - 1])
 
 
 # (n, f_dm, heuristic, k); n=200 is costly for the quadratic reference,
@@ -308,6 +331,22 @@ class TestKGapMerge:
         # reaches edge-less dummies, no dummy, one dummy and k >= d
         order = real_order_of(inst, kind)
         for k in (1, 2, 3, 4):
+            merged, mixed = k_gap_merge(inst, order, k)
+            expected, expected_mixed = reference_k_gap_merge(inst, order, k)
+            assert merged.order == expected.order
+            assert mixed == expected_mixed
+
+    # shuffled real orders reach more ties than heuristic ones; the larger
+    # all-dummy-bottom instances hold up to 8 dummies, so a merge may open
+    # three or more blocks over tied prefix minima
+    @given(
+        inst=st.one_of(instances(), dummy_bottom_instances(max_bottom=10, max_top=8)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_merge_on_shuffled_orders(self, inst, data):
+        order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
+        for k in (1, 2, 3, 4, len(inst.dummy_top_ids) + 1):
             merged, mixed = k_gap_merge(inst, order, k)
             expected, expected_mixed = reference_k_gap_merge(inst, order, k)
             assert merged.order == expected.order
