@@ -4,16 +4,33 @@ Dummy nodes always appear in the canonical order of
 `BipartiteInstance.dummy_chain` (sorted by their neighbor's bottom
 position), under which no two dummy edges cross. The side-gap merge
 splits that order into a left and a right block around the real nodes;
-the k-gap merge places it into at most k blocks by a dynamic program
-that walks the chain one dummy at a time, over the real boundaries.
+the k-gap merge partitions it into at most k blocks of consecutive chain
+dummies, each placed at one real boundary.
 
-Each dummy's placement cost over the r + 1 real boundaries is one
-column (`block_cost_columns`). Layer g of the DP holds one row per dummy,
-each built in one Python pass over the boundaries, so the merge takes
-O(k·r·d) time for d dummy nodes. The backtrack walks the chain down with
-a fixed tie rule: each block goes at the earliest boundary that reaches
-its minimum, then takes the smallest split. It inserts each dummy block
-into the real order at its boundary as it finds it, last block first.
+The k-gap merge rests on one fact. Let c_t(i) be the cost of chain dummy
+t at real boundary i (`block_cost_columns`). Then c_t(i+1) - c_t(i) is
+the number of edges of the i-th real node right of the dummy's neighbor
+position q_t minus the number left of it. Along the chain q_t only
+grows, so this difference only falls: for t < t' and i < i',
+c_t'(i') - c_t'(i) <= c_t(i') - c_t(i). Edge-less dummies (q < 0) have
+zero columns and sit first in the chain; they break the inequality only
+formally, and both consequences below hold with them. Let at(s, t) be
+the earliest boundary that minimizes the summed columns of the block of
+chain dummies s..t. Then:
+
+- at(s, t-1) <= at(s, t) <= at(s+1, t) (the quadrangle-inequality bounds
+  of Knuth 1971 and Yao 1980), so scanning each block only between its
+  neighbours' boundaries builds the table of every block's cost and
+  boundary in O(d·(r + d)) steps for d dummies and r real nodes, whatever
+  k is (`block_table`);
+- consecutive blocks at their own earliest best boundaries are already in
+  order, so the merge is a partition of the chain into at most k blocks
+  priced by that table alone, a DP over the blocks' starts in O(k·d²).
+
+Ties put each block at its earliest best boundary and take the smallest
+split, which keeps the edge-less dummies in the first block. The
+backtrack inserts each block into the real order at its boundary as it
+finds it, last block first.
 """
 
 from __future__ import annotations
@@ -102,34 +119,51 @@ def block_cost_columns(inst: BipartiteInstance, real_order: Permutation) -> list
     return columns
 
 
-def merge_layers(columns: list[list[int]], k: int) -> list[list[list[int]]]:
-    """The merge table V_1..V_k of `k_gap_merge` over the
-    `block_cost_columns` `columns`, for k up to the number d of dummies:
-    layer g - 1 holds V_g[t] for t = 0..d-1, a row over the r + 1 real
-    boundaries. V_1 sums the columns; each row of a higher layer is one
-    Python pass keeping the running prefix minimum of V_{g-1}[t-1], and
-    rows of dummies that fit in fewer blocks are shared with the layer
-    below. At k = 0 it returns no layer. O(k·r·d) for r real and d dummy
-    nodes."""
-    if k < 1:
-        return []
-    layers = [list(accumulate(columns, lambda v, c: list(map(add, v, c))))]
-    for g in range(2, k + 1):
-        below = layers[-1]
-        layer = below[: g - 1]
-        row = layer[-1]
-        for t in range(g - 1, len(columns)):
-            opened = below[t - 1]
-            run = opened[0]
-            new = []
-            for same, b, c in zip(row, opened, columns[t]):
-                if b < run:
-                    run = b
-                new.append((same if same < run else run) + c)
-            row = new
-            layer.append(row)
-        layers.append(layer)
-    return layers
+def blocks_ending(
+    sums: list[list[int]], columns: list[list[int]], t: int, lower: list[int]
+) -> tuple[list[int], list[int]]:
+    """Cost and earliest best boundary of each block s..t of chain
+    dummies, as two lists indexed by s = 0..t. `columns` are the
+    `block_cost_columns` and `sums` their running sums from a zero row, so
+    the block at boundary i costs sums[t + 1][i] - sums[s][i]; block t..t
+    is its own column. lower[s] must not exceed the earliest best
+    boundary of s..t, which does not exceed that of s + 1..t (module
+    docstring), so the blocks are scanned from s = t down, each only
+    between those two."""
+    column = columns[t]
+    best = min(column)
+    hi = column.index(best)
+    costs, at = [best], [hi]
+    row = sums[t + 1]
+    for s in range(t - 1, -1, -1):
+        start = sums[s]
+        i = lower[s]
+        best = row[i] - start[i]
+        for j in range(i + 1, hi + 1):
+            value = row[j] - start[j]
+            if value < best:
+                best, i = value, j
+        costs.append(best)
+        at.append(i)
+        hi = i
+    costs.reverse()
+    at.reverse()
+    return costs, at
+
+
+def block_table(
+    sums: list[list[int]], columns: list[list[int]]
+) -> list[tuple[list[int], list[int]]]:
+    """`blocks_ending` for every end t of the chain. Each block s..t is
+    scanned from the earliest best boundary of s..t-1 on, so the windows
+    of one diagonal t - s of the table tile the boundaries: O(d·(r + d))
+    steps for d dummies and r real nodes."""
+    table: list[tuple[list[int], list[int]]] = []
+    lower: list[int] = []
+    for t in range(len(columns)):
+        table.append(blocks_ending(sums, columns, t, lower))
+        lower = table[-1][1]
+    return table
 
 
 def boundary_totals(inst: BipartiteInstance, real_order: Permutation) -> list[int]:
@@ -165,13 +199,15 @@ def k_gap_merge(
     edge pairs. Returns the merged permutation and that mixed cost; k is
     read by `as_k`.
 
-    V_g[t][i], the least mixed cost of chain dummies 0..t in at most g
-    blocks with dummy t at real boundary i, is c_t(i) plus the smaller of
-    V_g[t-1][i] (dummy t joins the block of dummy t-1) and the prefix
-    minimum of V_{g-1}[t-1] up to i (it opens a block), over the
-    `block_cost_columns` c_t. V_1 sums the columns, and V_g[t] is
-    V_{t+1}[t] once g > t + 1. The mixed cost is min(V_k[d-1]); at one
-    gap that row is the `boundary_totals`, and no column is built."""
+    The merge partitions the chain into at most k blocks, each at its
+    earliest best boundary (module docstring): F_g[t], the least cost of
+    dummies 0..t in at most g blocks, is the minimum over s of
+    F_{g-1}[s-1] + cost(s, t), with F_{g-1}[-1] = 0, keeping the smallest
+    s on ties. That takes O(d·(r + d) + k·d²) for r real and d dummy
+    nodes. At two gaps the DP reads only the prefix blocks 0..t and the
+    blocks s..d-1 that end the chain, and no table is built; at one gap
+    the cost is the minimum of the `boundary_totals`, and no column is
+    built."""
     k = as_k(k)
     _check_real_order(inst, real_order)
     dummies = [d for _, d in inst.dummy_chain]
@@ -187,27 +223,58 @@ def k_gap_merge(
         return Permutation(tuple(merged)), mixed
 
     columns = block_cost_columns(inst, real_order)
-    layers = merge_layers(columns, k)
-    # the last block goes at the earliest boundary reaching the minimum
-    row = layers[-1][-1]
-    mixed = min(row)
-    i = row.index(mixed)
+    # sums[t]: the first t columns added up
+    sums = [[0] * (len(merged) + 1), columns[0]]
+    for column in columns[1:]:
+        sums.append(list(map(add, sums[-1], column)))
+    d = len(dummies)
+    # ends[t]: costs and boundaries of the blocks s..t that the DP reads;
+    # first[t]: the cost of block 0..t
+    if k == 2:
+        # the prefix blocks, each best at the first minimum of its row, and
+        # those that end the chain, none best before the whole chain
+        first = [min(row) for row in sums[1:]]
+        ends = {d - 1: blocks_ending(sums, columns, d - 1, [sums[d].index(first[-1])] * d)}
+    else:
+        ends = block_table(sums, columns)
+        first = [costs[0] for costs, _ in ends]
 
-    # Walk the chain down from the last dummy. Dummy t-1 stays in the
-    # block of dummy t while V_g[t-1][i] + c_t(i) == V_g[t][i] (the
-    # smallest split); otherwise the block from t is inserted at i and the
-    # one before ends at the earliest boundary reaching the prefix minimum.
+    # Layers 2..k-1 keep F_g[t] for the ends t that the layer above reads,
+    # with the start s of each one's last block; the top layer keeps only
+    # F_k[d-1].
+    best = first
+    splits = []
+    for g in range(2, k):
+        below = best
+        best, split = [], []
+        for t in range(d - k + g):
+            costs = ends[t][0]
+            value, s = costs[0], 0
+            for j in range(1, t + 1):
+                total = below[j - 1] + costs[j]
+                if total < value:
+                    value, s = total, j
+            best.append(value)
+            split.append(s)
+        splits.append(split)
+    costs = ends[d - 1][0]
+    mixed, s = costs[0], 0
+    for j in range(1, d):
+        total = best[j - 1] + costs[j]
+        if total < mixed:
+            mixed, s = total, j
+
     # Blocks are found last to first at nonincreasing boundaries, so index
     # i of `merged` lies just after the first i real nodes, ahead of every
     # block inserted so far.
-    g, end, value = k, len(dummies), mixed
-    for t in range(len(dummies) - 1, 0, -1):
-        value -= columns[t][i]
-        if value != layers[g - 1][t - 1][i]:
-            merged[i:i] = dummies[t:end]
-            g, end = g - 1, t
-            i = layers[g - 1][t - 1].index(value)
-    merged[i:i] = dummies[:end]
+    t = d - 1
+    while s:
+        i = ends[t][1][s]
+        merged[i:i] = dummies[s : t + 1]
+        t = s - 1
+        s = splits.pop()[t] if splits else 0
+    i = sums[t + 1].index(first[t])
+    merged[i:i] = dummies[: t + 1]
     return Permutation(tuple(merged)), mixed
 
 

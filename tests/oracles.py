@@ -289,10 +289,10 @@ def reference_dummy_order(inst: BipartiteInstance) -> tuple[int, ...]:
 def reference_k_gap_merge(inst: BipartiteInstance, real_order: Permutation, k: int):
     """The O(k·r·d²) k-gap merge DP over (gaps, real prefix, dummy prefix)
     with its tagged backtrack, kept as the reference for the library's
-    merge, which walks the dummy chain one dummy at a time (r real, d
-    dummy nodes). Same tie rule: advancing to boundary i-1 wins ties,
-    else the smallest split j' reaching the minimum. Returns
-    (permutation, mixed)."""
+    merge, which partitions the dummy chain into blocks priced by one
+    table of every block's best boundary (r real, d dummy nodes). Same
+    tie rule: advancing to boundary i-1 wins ties, else the smallest
+    split j' reaching the minimum. Returns (permutation, mixed)."""
     chain = reference_dummy_chain(inst)
     dummies = [d for _, d in chain]
     reals = real_order.order

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dummy_bottom_instances, gen, induced, instances, mk_instance, precedes
+from conftest import TOP_BASE, dummy_bottom_instances, gen, induced, instances, mk_instance, precedes
 from oracles import (
     best_bounded_gap_merge,
     best_sidegap_split,
@@ -14,6 +17,7 @@ from oracles import (
     naive_pair_crossings,
     reference_block_cost_columns,
     reference_block_cost_tables,
+    reference_dummy_chain,
     reference_dummy_order,
     reference_k_gap_merge,
 )
@@ -26,9 +30,10 @@ from oscm_gaps.core import (
 )
 from oscm_gaps.gap_placement import (
     block_cost_columns,
+    block_table,
+    blocks_ending,
     boundary_totals,
     k_gap_merge,
-    merge_layers,
     side_gap_merge,
     solve_kgaps,
     solve_sidegaps,
@@ -38,6 +43,30 @@ from oscm_gaps.heuristics import heuristic_order
 
 def real_order_of(inst, kind="median"):
     return heuristic_order(inst, inst.real_top_ids, kind)
+
+
+def column_sums(columns, n_real):
+    """Row j sums the first j columns at every boundary, from a zero row."""
+    bounds = range(n_real + 1)
+    return [[sum(column[i] for column in columns[:j]) for i in bounds] for j in range(len(columns) + 1)]
+
+
+def assert_table_by_definition(columns, n_real):
+    """Every block s..t of `block_table` costs the least sum of its
+    columns over the boundaries and sits at the first boundary reaching
+    it; those boundaries do not decrease in either end of the block."""
+    table = block_table(column_sums(columns, n_real), columns)
+    assert len(table) == len(columns)
+    for t, (costs, at) in enumerate(table):
+        assert len(costs) == len(at) == t + 1
+        for s in range(t + 1):
+            block = [sum(column[i] for column in columns[s : t + 1]) for i in range(n_real + 1)]
+            assert costs[s] == min(block)
+            assert at[s] == block.index(min(block))
+        assert at == sorted(at)  # in the start s
+        if t:
+            assert all(a <= b for a, b in zip(table[t - 1][1], at))  # in the end t
+    return table
 
 
 def assert_canonical_dummy_invariants(inst, pi2):
@@ -124,13 +153,13 @@ class TestSideGapMerge:
 class TestBlockCostTables:
     @pytest.mark.parametrize("seed", range(10))
     def test_prefix_differences_match_block_crossings(self, seed):
-        # each column against one dummy's crossings, and the differences of
-        # V_1, the running sums of the columns, against whole blocks
+        # each column against one dummy's crossings, and every block against
+        # differences of P, the running sums of the columns
         inst = gen(7, 0.4, 2, seed)
         real_order = real_order_of(inst)
         columns = block_cost_columns(inst, real_order)
-        (sums,) = merge_layers(columns, 1)
         reals, dummies = real_order.order, reference_dummy_order(inst)
+        P = column_sums(columns, len(reals))
         assert len(columns) == len(dummies)
         for i in range(len(reals) + 1):
             def cost(block):
@@ -140,10 +169,24 @@ class TestBlockCostTables:
 
             for t, d in enumerate(dummies):
                 assert columns[t][i] == cost([d])
-            prefix = [0] + [row[i] for row in sums]
             for jp in range(len(dummies) + 1):
                 for j in range(jp, len(dummies) + 1):
-                    assert prefix[j] - prefix[jp] == cost(list(dummies[jp:j]))
+                    assert P[j][i] - P[jp][i] == cost(list(dummies[jp:j]))
+
+    # the merge's ordering fact: along the chain, a dummy's gain from moving
+    # a real node before it only falls
+    @given(inst=st.one_of(instances(), dummy_bottom_instances(max_bottom=10, max_top=8)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_differences_fall_along_the_chain(self, inst, data):
+        real_order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
+        columns = reference_block_cost_columns(inst, real_order)
+        steps = [
+            [b - a for a, b in zip(column, column[1:])]
+            for (q, _), column in zip(reference_dummy_chain(inst), columns)
+            if q >= 0
+        ]
+        for earlier, later in zip(steps, steps[1:]):
+            assert all(y <= x for x, y in zip(earlier, later))
 
     @pytest.mark.parametrize(
         "bottom, top, edges, real_order, expected",
@@ -196,53 +239,61 @@ class TestBlockCostTables:
 
 class TestMergeTable:
     def test_base_cases_and_monotone_in_g(self):
+        # the block table by definition: a single dummy is its own column,
+        # and every block its summed columns' minimum; the merge's cost
+        # does not rise with the gap budget g and reaches the singles' sum
         inst = gen(8, 0.5, 2, 4)
         real_order = real_order_of(inst)
         columns = block_cost_columns(inst, real_order)
-        V = merge_layers(columns, 3)
-        bounds = range(len(real_order) + 1)
         n_dummy = len(inst.dummy_top_ids)
-        assert len(V) == 3 and n_dummy >= 3
-        for layer in V:
-            assert len(layer) == n_dummy
-            assert layer[0] == columns[0]  # one dummy sits at its own cost
-        # one gap holds one block: the running sums of the columns
-        for t in range(n_dummy):
-            assert V[0][t] == [sum(column[i] for column in columns[: t + 1]) for i in bounds]
-        # by definition: the last block s..t at boundary i, the dummies
-        # before it in one gap fewer at boundaries <= i
-        for g in range(1, len(V)):
-            for t in range(n_dummy):
-                for i in bounds:
-                    expected = min(
-                        (min(V[g - 1][s - 1][: i + 1]) if s else 0)
-                        + sum(column[i] for column in columns[s : t + 1])
-                        for s in range(t + 1)
-                    )
-                    assert V[g][t][i] == expected
-                    assert V[g][t][i] <= V[g - 1][t][i]
-                    if t < g:  # dummies 0..t fit in fewer blocks
-                        assert V[g][t][i] == V[t][t][i]
+        assert n_dummy >= 3
+        table = assert_table_by_definition(columns, len(real_order))
+        for t, column in enumerate(columns):
+            assert table[t][0][t] == min(column)
+            assert table[t][1][t] == column.index(min(column))
+        mixed = [k_gap_merge(inst, real_order, g)[1] for g in range(1, n_dummy + 2)]
+        assert mixed == sorted(mixed, reverse=True)
+        assert mixed[-1] == mixed[-2] == sum(min(column) for column in columns)
 
-    def test_no_layer_at_zero_gaps(self):
-        inst = gen(8, 0.5, 2, 4)
-        columns = block_cost_columns(inst, real_order_of(inst))
-        assert merge_layers(columns, 0) == []
+    # shuffled real orders reach edge-less dummies (zero columns at the
+    # chain's front), dummies that share a column, and one dummy
+    @given(inst=st.one_of(instances(), dummy_bottom_instances(max_bottom=10, max_top=8)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_table_on_arbitrary_instances(self, inst, data):
+        real_order = Permutation(tuple(data.draw(st.permutations(inst.real_top_ids))))
+        columns = block_cost_columns(inst, real_order)
+        if not columns:
+            return
+        table = assert_table_by_definition(columns, len(real_order))
+        # two gaps read only the blocks that end the chain, each scanned
+        # from the whole chain's boundary on
+        d = len(columns)
+        sums = column_sums(columns, len(real_order))
+        lower = [table[d - 1][1][0]] * d
+        assert blocks_ending(sums, columns, d - 1, lower) == table[d - 1]
 
     @pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (200, 1)])
     @pytest.mark.parametrize("kind", ["median", "barycenter"])
     def test_top_row_is_the_full_layer_minimum(self, n, seed, kind):
-        # one table built for five gaps holds every smaller budget's optimum
-        # in the last row of its layer (at one gap the merge reads the
-        # boundary totals instead), and budgets above d read layer d
+        # the DP's top entry F_k[d-1] is the least cost over every partition
+        # of the chain into at most k blocks, for every k <= 5
         inst = gen(n, "0.2", 3, seed)
         real_order = real_order_of(inst, kind)
-        d = len(inst.dummy_top_ids)
+        columns = block_cost_columns(inst, real_order)
+        d = len(columns)
         assert d >= 3
-        V = merge_layers(block_cost_columns(inst, real_order), min(5, d))
+        table = block_table(column_sums(columns, len(real_order)), columns)
+        best = []  # best[j - 1]: the least cost in exactly j blocks
+        for j in range(1, min(5, d) + 1):
+            best.append(
+                min(
+                    sum(table[t - 1][0][s] for s, t in zip((0, *cuts), (*cuts, d)))
+                    for cuts in combinations(range(1, d), j - 1)
+                )
+            )
         for k in range(1, 6):
             _, mixed = k_gap_merge(inst, real_order, k)
-            assert mixed == min(V[min(k, d) - 1][d - 1])
+            assert mixed == min(best[:k])
 
 
 # (n, f_dm, heuristic, k); n=200 is costly for the quadratic reference,
@@ -260,6 +311,34 @@ _REFERENCE_MERGE_CASES = [
     (200, "0.2", "barycenter", 1),
     (200, "0.5", "median", 1),
 ]
+
+
+def tie_heavy_cases(count, seed):
+    """Seeded all-dummy-bottom instances with 6-12 top dummies and a
+    shuffled order of their 1-8 real nodes. Bottom positions alternate
+    between runs of 1-4 dummy neighbors, whose dummies share one column,
+    and single real neighbors. Up to three dummies have no edge (zero
+    columns), and so may some real nodes, which ties every block's cost
+    at the boundaries around them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_real, n_dummy = rng.randint(1, 8), rng.randint(6, 12)
+        reals = [TOP_BASE + i for i in range(n_real)]
+        linked = [TOP_BASE + n_real + i for i in range(n_dummy)]
+        rng.shuffle(linked)
+        del linked[: rng.randint(0, 3)]
+        with_edges = rng.sample(reals, rng.randint(1, n_real))
+        edges = []
+        real_next = rng.random() < 0.5
+        while linked:
+            if real_next:
+                edges.append((len(edges), rng.choice(with_edges)))
+            else:
+                for _ in range(min(len(linked), rng.randint(1, 4))):
+                    edges.append((len(edges), linked.pop()))
+            real_next = not real_next
+        rng.shuffle(reals)
+        yield mk_instance("d" * len(edges), "r" * n_real + "d" * n_dummy, edges), Permutation(tuple(reals))
 
 
 class TestKGapMerge:
@@ -351,6 +430,15 @@ class TestKGapMerge:
             expected, expected_mixed = reference_k_gap_merge(inst, order, k)
             assert merged.order == expected.order
             assert mixed == expected_mixed
+
+    # ties everywhere: equal columns, zero columns and few real nodes, at
+    # every budget up to d + 1; deterministic, unlike the cases above
+    def test_matches_reference_merge_on_tie_heavy_grid(self):
+        for case, (inst, order) in enumerate(tie_heavy_cases(100, 30)):
+            for k in range(1, len(inst.dummy_top_ids) + 2):
+                merged, mixed = k_gap_merge(inst, order, k)
+                expected, expected_mixed = reference_k_gap_merge(inst, order, k)
+                assert (merged.order, mixed) == (expected.order, expected_mixed), (case, k)
 
     @given(inst=instances())
     @settings(max_examples=40, deadline=None)
